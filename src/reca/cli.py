@@ -10,6 +10,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .ca import complement_rule, lambda_param, make_rule, mirror_rule
 from .pipeline import RunConfig, build_config, run_batch, run_once, space_time_grids
 from .render import grid_to_ascii, write_pgm
@@ -103,7 +105,7 @@ def _parse_combos(raw) -> list[tuple[int, int]]:
     return combos
 
 
-def _sweep_tables(cfg: dict, workers: int):
+def _sweep_tables(cfg: dict):
     rules = [int(r) for r in cfg.get("rules", DEFAULT_RULES)]
     if "rule" in cfg:
         rules = [int(cfg["rule"])]
@@ -117,6 +119,11 @@ def _sweep_tables(cfg: dict, workers: int):
     diffuse = int(cfg.get("diffuse", 40))
     distractor = int(cfg.get("distractor", 200))
     seed = int(cfg.get("seed", 0))
+    workers = cfg.get("workers")
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, n_runs)
 
     layer1 = {}
     layer2 = {}
@@ -170,8 +177,7 @@ def _format_sweep_csv(meta: dict, tables, timestamp: bool) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged(args, {})
-    workers = int(cfg.get("workers") or os.cpu_count() or 1)
-    meta, tables = _sweep_tables(cfg, workers)
+    meta, tables = _sweep_tables(cfg)
     text = _format_sweep_csv(meta, tables, timestamp=not args.no_timestamp)
     out = cfg.get("out")
     if out:
@@ -273,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not a usage error
+        print(f"error: readout fit failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED_RUN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 RIDGE_SCALE = 1e-8
+PREDICT_BLOCK_ELEMENTS = 2**19  # features converted to float64 per predict block
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +58,13 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
     xf = np.ascontiguousarray(x, dtype=np.float32)
     yf = np.ascontiguousarray(y, dtype=np.float32)
 
+    # Only the upper triangle of ``a`` is ever read (cho_factor(lower=False)),
+    # so the Gram matrix is not mirrored. ``a`` is F-ordered like the ssyrk
+    # output, so the copy below is not transposed and the factor is in place.
     gram = scipy.linalg.blas.ssyrk(1.0, xf, trans=1)  # upper triangle of X^T X
-    gram = gram + np.triu(gram, 1).T
     col_sums = xf.sum(axis=0)
 
-    a = np.empty((p + 1, p + 1), dtype=np.float64)
+    a = np.empty((p + 1, p + 1), dtype=np.float64, order="F")
     a[:p, :p] = gram
     a[:p, p] = col_sums
     a[p, :p] = col_sums
@@ -74,14 +77,20 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
     alpha = ridge * np.trace(a) / (p + 1)
     a[np.diag_indices_from(a)] += alpha
 
-    cho = scipy.linalg.cho_factor(a, lower=False, check_finite=False)
+    cho = scipy.linalg.cho_factor(a, lower=False, overwrite_a=True, check_finite=False)
     weights = scipy.linalg.cho_solve(cho, b, check_finite=False)
     return ReadoutModel(weights)
 
 
 def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
-    """Affine map of one feature vector or a batch of feature rows."""
-    x = np.asarray(features, dtype=np.float64)
+    """Affine map of one feature vector or a batch of feature rows.
+
+    Rows are converted to float64 in blocks of about
+    ``PREDICT_BLOCK_ELEMENTS`` values (4 MB), so the float copy of a large
+    design matrix never exists whole; the result is bit-identical to
+    ``features.astype(float64) @ weights[:-1] + weights[-1]``.
+    """
+    x = np.asarray(features)
     if x.ndim == 1:
         x = x[None]
         squeeze = True
@@ -94,7 +103,20 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
             f"feature length {x.shape[1]} does not match model "
             f"({model.feature_length})"
         )
-    out = x @ model.weights[:-1] + model.weights[-1]
+    n, p = x.shape
+    rows = max(1, PREDICT_BLOCK_ELEMENTS // max(p, 1))
+    # The last block takes the remainder, so no block is much smaller than
+    # ``rows``: OpenBLAS sends small products to a kernel that sums in a
+    # different order, and a short tail would not match the one-shot product.
+    n_blocks = max(1, n // rows)
+    out = np.empty((n, model.output_width), dtype=np.float64)
+    block = np.empty((n - (n_blocks - 1) * rows, p), dtype=np.float64)  # the largest
+    for i in range(n_blocks):
+        lo = i * rows
+        hi = n if i == n_blocks - 1 else lo + rows
+        np.copyto(block[: hi - lo], x[lo:hi])
+        np.matmul(block[: hi - lo], model.weights[:-1], out=out[lo:hi])
+    out += model.weights[-1]
     return out[0] if squeeze else out
 
 

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ca import make_rule, step_rows
-from .encoding import (
-    EncoderConfig,
-    MappingSet,
-    combine_overwrite_rows,
-    encode_initial_rows,
-    generate_mappings,
-)
+from .ca import LANES, MIN_WIDTH, LaneStepper, make_rule
+from .encoding import EncoderConfig, MappingSet, generate_mappings
 
 
 @dataclass(frozen=True)
@@ -74,6 +68,10 @@ def run_sequences(
     x = np.asarray(inputs, dtype=np.uint8)
     if x.ndim != 3 or x.shape[2] != params.input_width:
         raise ValueError(f"inputs must have shape (n, T, {params.input_width})")
+    if x.shape[1] < 1:
+        raise ValueError("inputs must hold at least one time step")
+    if np.any(x > 1):
+        raise ValueError("inputs must be binary")
     if (
         mappings.input_width != params.input_width
         or mappings.count != params.mapping_count
@@ -83,19 +81,41 @@ def run_sequences(
 
     n_seq, seq_len, _ = x.shape
     width = params.state_width
-    rule = make_rule(params.rule)
-    features = np.empty((n_seq, seq_len, params.feature_length), dtype=np.uint8)
+    if width < MIN_WIDTH:
+        raise ValueError(f"state width must be >= {MIN_WIDTH}, got {width}")
+    iterations = params.iterations
+    groups = -(-n_seq // LANES)
 
-    states = np.zeros((n_seq, width), dtype=np.uint8)
+    # Sequence s = LANES*g + j is bit j of the words of lane group g.
+    lanes = np.zeros((groups * LANES, seq_len, params.input_width), dtype=np.uint8)
+    lanes[:n_seq] = x
+    packed = np.packbits(
+        lanes.reshape(groups, LANES, seq_len, -1), axis=1, bitorder="little"
+    )
+    words = np.ascontiguousarray(packed.transpose(2, 0, 3, 1)).view("<u4")[..., 0]
+    tiled = np.tile(words, (1, 1, mappings.count))  # (T, groups, R*L_in)
+
+    stepper = LaneStepper(make_rule(params.rule), groups, width)
+    history = np.empty((seq_len, iterations, groups, width), dtype=np.uint32)
     for t in range(seq_len):
-        if t == 0:
-            states = encode_initial_rows(x[:, t], mappings)
-        else:
-            states = combine_overwrite_rows(x[:, t], states, mappings)
-        for k in range(params.iterations):
-            states = step_rows(states, rule)
-            features[:, t, k * width : (k + 1) * width] = states
-    return features, states
+        stepper.state[:, mappings.positions] = tiled[t]
+        for k in range(iterations):
+            stepper.step(history[t, k])
+
+    # Byte b of a word holds lanes 8b..8b+7: split the words into contiguous
+    # (T, I, width) byte planes, then peel one bit per sequence off them.
+    as_bytes = history.astype("<u4", copy=False).view(np.uint8)
+    planes = np.ascontiguousarray(
+        as_bytes.reshape(seq_len, iterations, groups, width, 4).transpose(2, 4, 0, 1, 3)
+    )
+    features = np.empty((n_seq, seq_len, params.feature_length), dtype=np.uint8)
+    shifted = np.empty(planes.shape[2:], dtype=np.uint8)
+    for s in range(n_seq):
+        group, lane = divmod(s, LANES)
+        byte, bit = divmod(lane, 8)
+        np.right_shift(planes[group, byte], bit, out=shifted)
+        np.bitwise_and(shifted, 1, out=features[s].reshape(shifted.shape))
+    return features, features[:, -1, -width:].copy()
 
 
 def run_sequence(

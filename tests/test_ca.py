@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from reca.ca import (
+    LANES,
+    LaneStepper,
+    anf_terms,
     complement_rule,
     evolve,
     lambda_param,
@@ -176,3 +179,31 @@ def test_step_is_deterministic():
     state = np.array([1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)
     rule = make_rule(150)
     assert np.array_equal(step(state, rule), step(state, rule))
+
+
+@pytest.mark.parametrize(
+    "number,terms",
+    [(90, (1, 4)), (150, (1, 2, 4)), (60, (2, 4)), (102, (1, 2)),
+     (165, (0, 1, 4)), (105, (0, 1, 2, 4)), (195, (0, 2, 4)), (153, (0, 1, 2)),
+     (0, ()), (255, (0,)), (204, (2,))],
+)
+def test_anf_of_linear_rules_and_complements(number, terms):
+    assert anf_terms(make_rule(number)) == terms
+
+
+def test_lane_stepper_matches_naive_oracle_for_every_rule():
+    rng = np.random.default_rng(11)
+    width = 9
+    rows = rng.integers(0, 2, size=(2 * LANES, width), dtype=np.uint8)
+    # Lane j of group g holds row LANES*g + j.
+    words = (rows.reshape(2, LANES, width).astype(np.uint32)
+             << np.arange(LANES, dtype=np.uint32)[:, None]).sum(axis=1, dtype=np.uint32)
+    for number in range(256):
+        stepper = LaneStepper(make_rule(number), 2, width)
+        stepper.state[...] = words
+        out = np.empty((2, width), dtype=np.uint32)
+        stepper.step(out)
+        lanes = (out[:, None, :] >> np.arange(LANES, dtype=np.uint32)[:, None]) & 1
+        expected = np.stack([naive_step(row, number) for row in rows])
+        assert np.array_equal(lanes.reshape(2 * LANES, width), expected), number
+        assert np.array_equal(stepper.state, out)

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+import reca.cli
+import reca.pipeline
 from reca.cli import main
 from reca.render import grid_to_ascii, grid_to_pgm
 
@@ -109,6 +111,41 @@ def test_sweep_config_file_grid(tmp_path):
     rows = strip_comments(out.read_text())
     assert rows[0] == 'rule,"(2,2)","(2,4)"'
     assert [r.split(",")[0] for r in rows[1:]] == ["90", "150"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(monkeypatch, capsys, workers):
+    calls = []
+    monkeypatch.setattr(reca.cli, "run_batch", lambda *a, **k: calls.append(k))
+    assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--runs", "2", "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_clamps_workers_to_run_count(monkeypatch, capsys):
+    seen = []
+
+    def fake_batch(config, n_runs, workers=1):
+        seen.append(workers)
+        return reca.pipeline.BatchResult([True] * n_runs, None)
+
+    monkeypatch.setattr(reca.cli, "run_batch", fake_batch)
+    assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--runs", "3", "--workers", "64", "--no-timestamp"]) == 0
+    assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--runs", "3", "--workers", "2", "--no-timestamp"]) == 0
+    assert seen == [3, 2]
+
+
+def test_failed_fit_exits_1_not_usage(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(reca.pipeline, "fit", singular)
+    assert main(["run", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--distractor", "20"]) == 1
+    assert "not positive definite" in capsys.readouterr().err
 
 
 def test_render_outputs_pgm_and_ascii(tmp_path, capsys):

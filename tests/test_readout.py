@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from reca.readout import ReadoutModel, binarize, binarize_array, fit, predict
+from reca.readout import (
+    PREDICT_BLOCK_ELEMENTS,
+    ReadoutModel,
+    binarize,
+    binarize_array,
+    fit,
+    predict,
+)
 from reference import normal_equations_fit, normal_equations_predict
 
 
@@ -93,6 +100,17 @@ def test_predict_is_linear_in_features():
     lhs = predict(model, a + b) - zero
     rhs = (predict(model, a) - zero) + (predict(model, b) - zero)
     assert np.allclose(lhs, rhs)
+
+
+@pytest.mark.parametrize("p", [320, 640])
+def test_blocked_predict_equals_dense_product(p):
+    # A row count that is no multiple of the block, so the tail block is short.
+    rng = np.random.default_rng(8)
+    n = 3 * (PREDICT_BLOCK_ELEMENTS // p) + 37
+    x = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
+    model = ReadoutModel(rng.normal(size=(p + 1, 3)))
+    dense = x.astype(np.float64) @ model.weights[:-1] + model.weights[-1]
+    assert np.array_equal(predict(model, x), dense)
 
 
 def test_predict_rejects_wrong_length():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reca.ca import evolve, make_rule
 from reca.encoding import combine_overwrite, encode_initial
@@ -10,6 +12,7 @@ from reca.reservoir import (
     run_sequence,
     run_sequences,
 )
+from reference import naive_step
 
 
 def params(rule=90, iterations=2, mappings=2, diffuse=10, input_width=4, seed=0):
@@ -133,3 +136,53 @@ def test_params_validation():
         params(iterations=0)
     with pytest.raises(ValueError):
         params(diffuse=3)
+
+
+def test_non_binary_or_empty_inputs_rejected():
+    p = params()
+    ms = make_mappings(p)
+    with pytest.raises(ValueError):
+        run_sequence(np.full((3, 4), 2, dtype=np.uint8), p, ms)
+    with pytest.raises(ValueError):
+        run_sequence(np.zeros((0, 4), dtype=np.uint8), p, ms)
+
+
+def naive_run(x, p, ms):
+    """Step-by-step reservoir over reference.naive_step, one sequence at a time."""
+    features = np.empty((x.shape[0], x.shape[1], p.feature_length), dtype=np.uint8)
+    finals = np.empty((x.shape[0], p.state_width), dtype=np.uint8)
+    for s in range(x.shape[0]):
+        state = np.zeros(p.state_width, dtype=np.uint8)
+        for t in range(x.shape[1]):
+            state[ms.positions] = np.tile(x[s, t], ms.count)
+            for k in range(p.iterations):
+                state = naive_step(state, p.rule)
+                features[s, t, k * p.state_width : (k + 1) * p.state_width] = state
+        finals[s] = state
+    return features, finals
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    rule=st.integers(0, 255),
+    n_seq=st.sampled_from([1, 31, 32, 33, 70]),
+    iterations=st.integers(1, 3),
+    mappings=st.integers(1, 3),
+    input_width=st.integers(1, 4),
+    extra_diffuse=st.integers(0, 5),
+    seq_len=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_lanes_match_naive_stepper(
+    rule, n_seq, iterations, mappings, input_width, extra_diffuse, seq_len, seed
+):
+    diffuse = max(input_width + extra_diffuse, 3)
+    p = ReservoirParams(rule, iterations, mappings, diffuse, input_width, seed)
+    ms = make_mappings(p)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(n_seq, seq_len, input_width), dtype=np.uint8)
+    features, finals = run_sequences(x, p, ms)
+    expected_features, expected_finals = naive_run(x, p, ms)
+    assert features.dtype == np.uint8 and finals.dtype == np.uint8
+    assert np.array_equal(features, expected_features)
+    assert np.array_equal(finals, expected_finals)
