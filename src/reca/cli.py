@@ -23,6 +23,12 @@ EXIT_SUCCESS = 0
 EXIT_FAILED_RUN = 1
 EXIT_USAGE = 2
 
+CONFIG_KEYS = frozenset({
+    "rule", "rules", "combos", "iterations", "mappings", "diffuse", "distractor",
+    "runs", "seed", "out", "workers", "layered", "layer2",
+})
+LAYER2_KEYS = frozenset({"rule", "iterations", "mappings", "diffuse"})
+
 
 class ConfigError(Exception):
     pass
@@ -40,7 +46,21 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
+    _reject_unknown_keys(data, CONFIG_KEYS, "config file")
+    layer2 = data.get("layer2") or {}
+    if not isinstance(layer2, dict):
+        raise ConfigError("config key 'layer2' must be a JSON object")
+    _reject_unknown_keys(layer2, LAYER2_KEYS, "config 'layer2'")
     return data
+
+
+def _reject_unknown_keys(data: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in {where}: {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(sorted(allowed))})"
+        )
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:

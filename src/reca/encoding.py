@@ -112,26 +112,3 @@ def combine_overwrite(
     state[mappings.positions] = np.tile(x, mappings.count)
     return state
 
-
-def encode_initial_rows(inputs: np.ndarray, mappings: MappingSet) -> np.ndarray:
-    """Batched encode_initial: rows of ``inputs`` (n, L_in) -> states (n, R*L_d)."""
-    x = np.asarray(inputs, dtype=np.uint8)
-    if x.ndim != 2 or x.shape[1] != mappings.input_width:
-        raise ValueError(f"inputs must have shape (n, {mappings.input_width})")
-    states = np.zeros((x.shape[0], mappings.state_width), dtype=np.uint8)
-    states[:, mappings.positions] = np.tile(x, (1, mappings.count))
-    return states
-
-
-def combine_overwrite_rows(
-    inputs: np.ndarray, previous_finals: np.ndarray, mappings: MappingSet
-) -> np.ndarray:
-    """Batched combine_overwrite over matching rows of inputs and states."""
-    x = np.asarray(inputs, dtype=np.uint8)
-    if x.ndim != 2 or x.shape[1] != mappings.input_width:
-        raise ValueError(f"inputs must have shape (n, {mappings.input_width})")
-    states = np.asarray(previous_finals, dtype=np.uint8).copy()
-    if states.shape != (x.shape[0], mappings.state_width):
-        raise ValueError("previous states do not match inputs and mapping width")
-    states[:, mappings.positions] = np.tile(x, (1, mappings.count))
-    return states

@@ -137,12 +137,19 @@ def _run_layer(
     Returns the evaluation, the binarized predictions with shape
     (n_sequences, T, 3), and per-phase wall-clock timings.
     """
-    timing = {}
     t0 = time.perf_counter()
     mappings = make_mappings(params)
     features, _ = run_sequences(inputs, params, mappings)
-    timing["reservoir"] = time.perf_counter() - t0
+    reservoir_s = time.perf_counter() - t0
+    evaluation, preds, timing = _fit_readout(features, targets)
+    return evaluation, preds, {"reservoir": reservoir_s, **timing}
 
+
+def _fit_readout(
+    features: np.ndarray, targets: np.ndarray
+) -> tuple[EvaluationResult, np.ndarray, dict[str, float]]:
+    """Fit one readout on a layer's (n_sequences, T, p) features and self-test it."""
+    timing = {}
     n_seq, seq_len, feat_len = features.shape
     x = features.reshape(n_seq * seq_len, feat_len)
     y = targets.reshape(n_seq * seq_len, OUTPUT_WIDTH)
@@ -239,7 +246,7 @@ def space_time_grids(config: RunConfig, pattern_id: int = 0) -> list[np.ndarray]
     if config.layer2 is None:
         return grids
 
-    _, preds1, _ = _run_layer(inputs, targets, config.layer1)
+    _, preds1, _ = _fit_readout(features1, targets)
     mappings2 = make_mappings(config.layer2)
     features2, _ = run_sequences(preds1, config.layer2, mappings2)
     grids.append(features2[pattern_id].reshape(-1, config.layer2.state_width))

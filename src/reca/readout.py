@@ -5,6 +5,9 @@ normal equations with a tiny ridge term (1e-8 times the mean squared column
 norm of the design matrix, intercept column included) so that the very
 common rank-deficient case, e.g. constant CA columns, stays solvable while
 well-conditioned solutions are perturbed far below test tolerances.
+
+Both ``fit`` and ``predict`` stream the design matrix in row blocks, so
+neither ever holds a float copy of all of it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import numpy as np
 import scipy.linalg
 
 RIDGE_SCALE = 1e-8
-PREDICT_BLOCK_ELEMENTS = 2**19  # features converted to float64 per predict block
+BLOCK_ELEMENTS = 2**19  # values converted to float per fit or predict block
+MAX_FIT_ROWS = 2**24  # float32 counts are exact below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +45,13 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
         targets: (N, k) binary matrix.
         ridge: relative ridge strength added to the normal-equation diagonal.
 
-    Gram accumulation runs in float32: features are 0/1, so every entry of
-    X^T X is an integer count <= N, exact in float32 for N < 2^24. The solve
-    itself is float64.
+    Row blocks of about ``BLOCK_ELEMENTS`` values are copied into one reused
+    float32 buffer laid out as ``[X_b 1 Y_b]``, and one ``ssyrk`` per block
+    adds its Gram matrix to the upper triangle of the Gram of ``[X 1 Y]``:
+    X^T X, the column sums, N and X^T Y. With 0/1 entries each is an integer
+    count <= N, exact in float32 for N < 2^24, so the blocking does not move
+    the result. Memory beside the design is O((p + k)^2). The solve is
+    float64.
     """
     x = np.asarray(features)
     y = np.asarray(targets)
@@ -53,26 +61,33 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
         raise ValueError("features and targets must have the same row count")
     if x.shape[0] < 1:
         raise ValueError("at least one training row is required")
+    if x.shape[0] >= MAX_FIT_ROWS:
+        raise ValueError(
+            f"{x.shape[0]} rows: the float32 Gram counts are exact only "
+            f"below {MAX_FIT_ROWS} rows"
+        )
 
     n, p = x.shape
-    xf = np.ascontiguousarray(x, dtype=np.float32)
-    yf = np.ascontiguousarray(y, dtype=np.float32)
+    m = p + 1 + y.shape[1]
+    rows = min(n, max(1, BLOCK_ELEMENTS // m))
+    buf = np.empty((rows, m), dtype=np.float32)
+    buf[:, p] = 1.0
+    gram = np.zeros((m, m), dtype=np.float32, order="F")
+    for lo in range(0, n, rows):
+        # C-ordered, so ``block.T`` is F-ordered and ssyrk reads it uncopied
+        block = buf[: min(rows, n - lo)]
+        np.copyto(block[:, :p], x[lo : lo + rows], casting="unsafe")
+        np.copyto(block[:, p + 1 :], y[lo : lo + rows], casting="unsafe")
+        # block.T @ block, upper triangle only, added to ``gram`` in place
+        gram = scipy.linalg.blas.ssyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
+    del buf
 
     # Only the upper triangle of ``a`` is ever read (cho_factor(lower=False)),
-    # so the Gram matrix is not mirrored. ``a`` is F-ordered like the ssyrk
-    # output, so the copy below is not transposed and the factor is in place.
-    gram = scipy.linalg.blas.ssyrk(1.0, xf, trans=1)  # upper triangle of X^T X
-    col_sums = xf.sum(axis=0)
-
-    a = np.empty((p + 1, p + 1), dtype=np.float64, order="F")
-    a[:p, :p] = gram
-    a[:p, p] = col_sums
-    a[p, :p] = col_sums
-    a[p, p] = n
-
-    b = np.empty((p + 1, y.shape[1]), dtype=np.float64)
-    b[:p] = xf.T @ yf
-    b[p] = yf.sum(axis=0)
+    # so the Gram matrix is not mirrored. ``a`` is F-ordered like ``gram``, so
+    # the copy below is not transposed and the factor is in place.
+    a = np.array(gram[: p + 1, : p + 1], dtype=np.float64, order="F")
+    b = np.array(gram[: p + 1, p + 1 :], dtype=np.float64)
+    del gram
 
     alpha = ridge * np.trace(a) / (p + 1)
     a[np.diag_indices_from(a)] += alpha
@@ -86,7 +101,7 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
     """Affine map of one feature vector or a batch of feature rows.
 
     Rows are converted to float64 in blocks of about
-    ``PREDICT_BLOCK_ELEMENTS`` values (4 MB), so the float copy of a large
+    ``BLOCK_ELEMENTS`` values (4 MB), so the float copy of a large
     design matrix never exists whole; the result is bit-identical to
     ``features.astype(float64) @ weights[:-1] + weights[-1]``.
     """
@@ -104,7 +119,7 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
             f"({model.feature_length})"
         )
     n, p = x.shape
-    rows = max(1, PREDICT_BLOCK_ELEMENTS // max(p, 1))
+    rows = max(1, BLOCK_ELEMENTS // max(p, 1))
     # The last block takes the remainder, so no block is much smaller than
     # ``rows``: OpenBLAS sends small products to a kernel that sums in a
     # different order, and a short tail would not match the one-shot product.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def naive_step(state, rule_number: int):
@@ -30,6 +31,24 @@ def normal_equations_fit(features, targets, ridge=1e-8):
     gram = design.T @ design
     alpha = ridge * np.trace(gram) / gram.shape[0]
     return np.linalg.solve(gram + alpha * np.eye(gram.shape[0]), design.T @ y)
+
+
+def exact_integer_fit(features, targets, ridge=1e-8):
+    """The production solve on normal equations counted exactly in int64.
+
+    Forms [X 1]^T [X 1] and [X 1]^T Y with integer arithmetic, converts them
+    to float64 and applies the same ridge, ``cho_factor`` and ``cho_solve``,
+    so on 0/1 data the weights must equal the production fit bit for bit.
+    """
+    x = np.asarray(features, dtype=np.int64)
+    y = np.asarray(targets, dtype=np.int64)
+    design = np.hstack([x, np.ones((x.shape[0], 1), dtype=np.int64)])
+    design_t = np.ascontiguousarray(design.T)  # integer matmul is faster C-ordered
+    a = (design_t @ design).astype(np.float64)
+    b = (design_t @ y).astype(np.float64)
+    a[np.diag_indices_from(a)] += ridge * np.trace(a) / a.shape[0]
+    cho = scipy.linalg.cho_factor(a, lower=False, check_finite=False)
+    return scipy.linalg.cho_solve(cho, b, check_finite=False)
 
 
 def normal_equations_predict(weights, features):

@@ -49,6 +49,31 @@ def test_run_requires_a_rule(capsys):
     assert main(["run"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "render"])
+@pytest.mark.parametrize(
+    "cfg,key",
+    [
+        ({"rule": 90, "iteration": 4}, "iteration"),
+        ({"rule": 90, "layer2": {"rule": 90, "mapping": 2}}, "mapping"),
+    ],
+)
+def test_unknown_config_keys_are_usage_errors(tmp_path, monkeypatch, capsys, command, cfg, key):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran with an unknown config key")
+
+    for name in ("run_once", "run_batch", "space_time_grids"):
+        monkeypatch.setattr(reca.cli, name, must_not_run)
+    path = write_config(tmp_path / "cfg.json", **cfg)
+    assert main([command, "--config", path]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_layer2_config_must_be_an_object(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", rule=90, layer2=[90])
+    assert main(["run", "--config", path]) == 2
+    assert "layer2" in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", rule=0, iterations=2, mappings=2,
                        distractor=20)

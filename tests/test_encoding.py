@@ -5,9 +5,7 @@ from reca.encoding import (
     EncoderConfig,
     MappingSet,
     combine_overwrite,
-    combine_overwrite_rows,
     encode_initial,
-    encode_initial_rows,
     generate_mappings,
 )
 
@@ -120,18 +118,6 @@ def test_encode_initial_is_injective():
         x = np.array([(value >> j) & 1 for j in range(4)], dtype=np.uint8)
         seen.add(encode_initial(x, ms).tobytes())
     assert len(seen) == 16
-
-
-def test_batched_helpers_match_scalar_paths():
-    rng = np.random.default_rng(14)
-    ms = generate_mappings(EncoderConfig(4, 11, 3, seed=7))
-    xs = rng.integers(0, 2, size=(6, 4), dtype=np.uint8)
-    prevs = rng.integers(0, 2, size=(6, ms.state_width), dtype=np.uint8)
-    enc = encode_initial_rows(xs, ms)
-    comb = combine_overwrite_rows(xs, prevs, ms)
-    for i in range(6):
-        assert np.array_equal(enc[i], encode_initial(xs[i], ms))
-        assert np.array_equal(comb[i], combine_overwrite(xs[i], prevs[i], ms))
 
 
 def test_mapping_set_rejects_duplicate_positions():

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reca.readout import (
-    PREDICT_BLOCK_ELEMENTS,
+    BLOCK_ELEMENTS,
+    MAX_FIT_ROWS,
     ReadoutModel,
     binarize,
     binarize_array,
     fit,
     predict,
 )
-from reference import normal_equations_fit, normal_equations_predict
+from reference import exact_integer_fit, normal_equations_fit, normal_equations_predict
 
 
 def random_batch(rng, n=50, p=20, k=3):
@@ -79,6 +82,46 @@ def test_fit_is_deterministic():
     assert np.array_equal(fit(x, y).weights, fit(x, y).weights)
 
 
+@pytest.mark.parametrize("p", [20, 640])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("blocks,tail", [(0, 57), (2, 0), (3, 11)])
+def test_streamed_fit_equals_exact_integer_oracle(p, k, blocks, tail):
+    # Below one row block, exactly two blocks, and three blocks plus a short tail.
+    rng = np.random.default_rng(9)
+    n = blocks * (BLOCK_ELEMENTS // (p + 1 + k)) + tail
+    x, y = random_batch(rng, n=n, p=p, k=k)
+    assert np.array_equal(fit(x, y).weights, exact_integer_fit(x, y))
+
+
+def test_fit_accepts_bool_and_float_inputs():
+    rng = np.random.default_rng(10)
+    x, y = random_batch(rng)
+    weights = fit(x, y).weights
+    assert np.array_equal(fit(x.astype(bool), y.astype(np.int64)).weights, weights)
+    assert np.array_equal(fit(x.astype(np.float64), y.astype(np.float32)).weights, weights)
+
+
+def test_fit_peak_allocation_is_below_the_design_size():
+    rng = np.random.default_rng(11)
+    x, y = random_batch(rng, n=20000, p=640, k=3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
+def test_fit_rejects_row_counts_past_float32_exactness():
+    # Broadcast views: neither array allocates its 2**24 rows.
+    x = np.broadcast_to(np.zeros((1, 4), dtype=np.uint8), (MAX_FIT_ROWS, 4))
+    y = np.broadcast_to(np.zeros((1, 3), dtype=np.uint8), (MAX_FIT_ROWS, 3))
+    with pytest.raises(ValueError, match="exact"):
+        fit(x, y)
+
+
 def test_predict_zero_weights():
     model = ReadoutModel(np.zeros((6, 2)))
     assert np.allclose(predict(model, np.ones(5)), 0.0)
@@ -106,7 +149,7 @@ def test_predict_is_linear_in_features():
 def test_blocked_predict_equals_dense_product(p):
     # A row count that is no multiple of the block, so the tail block is short.
     rng = np.random.default_rng(8)
-    n = 3 * (PREDICT_BLOCK_ELEMENTS // p) + 37
+    n = 3 * (BLOCK_ELEMENTS // p) + 37
     x = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
     model = ReadoutModel(rng.normal(size=(p + 1, 3)))
     dense = x.astype(np.float64) @ model.weights[:-1] + model.weights[-1]
