@@ -1,21 +1,7 @@
 """Cellular-automata reservoir computing with a trained linear readout."""
 
-from .ca import (
-    Rule,
-    complement_rule,
-    evolve,
-    lambda_param,
-    make_rule,
-    mirror_rule,
-    step,
-)
-from .encoding import (
-    EncoderConfig,
-    MappingSet,
-    combine_overwrite,
-    encode_initial,
-    generate_mappings,
-)
+from .ca import Rule, complement_rule, lambda_param, make_rule, mirror_rule
+from .encoding import EncoderConfig, MappingSet, generate_mappings
 from .memory_task import EvaluationResult, TaskSequence, all_patterns, evaluate, generate
 from .pipeline import (
     BatchResult,
@@ -23,29 +9,22 @@ from .pipeline import (
     RunResult,
     build_config,
     run_batch,
-    run_layered,
-    run_single,
+    run_once,
 )
 from .readout import ReadoutModel, binarize, binarize_array, fit, predict
-from .reservoir import ReservoirParams, record_space_time, run_sequence, run_sequences
+from .reservoir import ReservoirParams, run_sequences
 
 __all__ = [
     "Rule",
     "make_rule",
-    "step",
-    "evolve",
     "lambda_param",
     "mirror_rule",
     "complement_rule",
     "EncoderConfig",
     "MappingSet",
     "generate_mappings",
-    "encode_initial",
-    "combine_overwrite",
     "ReservoirParams",
-    "run_sequence",
     "run_sequences",
-    "record_space_time",
     "ReadoutModel",
     "fit",
     "predict",
@@ -60,7 +39,6 @@ __all__ = [
     "RunResult",
     "BatchResult",
     "build_config",
-    "run_single",
-    "run_layered",
+    "run_once",
     "run_batch",
 ]

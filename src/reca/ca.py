@@ -52,17 +52,6 @@ def rule_from_table(table: np.ndarray) -> Rule:
     return Rule(number, table)
 
 
-def step(state: np.ndarray, rule: Rule) -> np.ndarray:
-    """Advance one row of cells by one synchronous update on the ring."""
-    s = np.asarray(state, dtype=np.uint8)
-    if s.ndim != 1:
-        raise ValueError("state must be one-dimensional")
-    if s.size < MIN_WIDTH:
-        raise ValueError(f"state width must be >= {MIN_WIDTH}, got {s.size}")
-    idx = (np.roll(s, 1) << 2) | (s << 1) | np.roll(s, -1)
-    return rule.table[idx]
-
-
 def step_rows(states: np.ndarray, rule: Rule) -> np.ndarray:
     """Advance a batch of rows (shape (n, width)) by one update each.
 
@@ -113,7 +102,7 @@ class LaneStepper:
         self._complement = 0 in terms
         self._product = np.empty((groups, width), dtype=np.uint32)
 
-    def step(self, out: np.ndarray) -> None:
+    def advance(self, out: np.ndarray) -> None:
         """Advance ``state`` by one update and copy the new state into ``out``."""
         ring = self._ring
         ring[:, 0] = ring[:, -2]
@@ -140,22 +129,6 @@ def _monomial(factors: list[np.ndarray], dest: np.ndarray) -> np.ndarray:
     for factor in factors[2:]:
         np.bitwise_and(dest, factor, out=dest)
     return dest
-
-
-def evolve(state: np.ndarray, rule: Rule, iterations: int) -> np.ndarray:
-    """Iterate ``state`` for ``iterations`` steps, returning every evolved row.
-
-    The returned array has shape (iterations, width); the seed state itself
-    is not included.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    s = np.asarray(state, dtype=np.uint8)
-    out = np.empty((iterations, s.size), dtype=np.uint8)
-    for k in range(iterations):
-        s = step(s, rule)
-        out[k] = s
-    return out
 
 
 def lambda_param(rule: Rule) -> float:

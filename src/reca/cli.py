@@ -51,6 +51,8 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(layer2, dict):
         raise ConfigError("config key 'layer2' must be a JSON object")
     _reject_unknown_keys(layer2, LAYER2_KEYS, "config 'layer2'")
+    _reject_non_integers(data, "config file")
+    _reject_non_integers(layer2, "config 'layer2'")
     return data
 
 
@@ -61,6 +63,33 @@ def _reject_unknown_keys(data: dict, allowed: frozenset, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(map(repr, unknown))} "
             f"(allowed: {', '.join(sorted(allowed))})"
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_non_integers(data: dict, where: str) -> None:
+    """Numbers in a config file must be JSON integers: 2.7 or true is not an I."""
+    for key, value in data.items():
+        if key in ("out", "layered", "layer2"):
+            continue
+        if key == "rules":
+            wanted = "a list of integers"
+            ok = isinstance(value, list) and all(map(_is_int, value))
+        elif key == "combos":
+            wanted = "a list of [I, R] integer pairs"
+            ok = isinstance(value, list) and all(
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+                for pair in value
+            )
+        else:
+            wanted = "an integer"
+            ok = _is_int(value)
+        if not ok:
+            raise ConfigError(
+                f"key {key!r} in {where} must be {wanted}, got {json.dumps(value)}"
+            )
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -78,75 +107,58 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _run_config_from(cfg: dict) -> RunConfig:
-    try:
-        rule = cfg["rule"]
-    except KeyError:
+    if "rule" not in cfg:
         raise ConfigError("a rule number is required (--rule or config file)")
     layer2 = cfg.get("layer2") or {}
     layered = bool(cfg.get("layered")) or bool(layer2)
     try:
         return build_config(
-            rule=int(rule),
-            iterations=int(cfg.get("iterations", 8)),
-            mappings=int(cfg.get("mappings", 8)),
-            diffuse=int(cfg.get("diffuse", 40)),
-            distractor=int(cfg.get("distractor", 200)),
-            seed=int(cfg.get("seed", 0)),
-            layer2_rule=int(layer2.get("rule", rule)) if layered else None,
+            rule=cfg["rule"],
+            iterations=cfg.get("iterations", 8),
+            mappings=cfg.get("mappings", 8),
+            diffuse=cfg.get("diffuse", 40),
+            distractor=cfg.get("distractor", 200),
+            seed=cfg.get("seed", 0),
+            layer2_rule=layer2.get("rule", cfg["rule"]) if layered else None,
             layer2_iterations=layer2.get("iterations"),
             layer2_mappings=layer2.get("mappings"),
             layer2_diffuse=layer2.get("diffuse"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config_from(_merged(args, {}))
     result = run_once(config)
-    evals = [("layer 1", result.layer1_eval)]
-    if result.layer2_eval is not None:
-        evals.append(("layer 2", result.layer2_eval))
-    for name, ev in evals:
+    for layer, ev in enumerate(result.evals, start=1):
         print(
-            f"{name}: {ev.correct_bits}/{ev.total_bits} bits "
+            f"layer {layer}: {ev.correct_bits}/{ev.total_bits} bits "
             f"({100.0 * ev.accuracy:.2f}%), success={ev.success}"
         )
     return EXIT_SUCCESS if result.success else EXIT_FAILED_RUN
 
 
-def _parse_combos(raw) -> list[tuple[int, int]]:
-    combos = []
-    for item in raw:
-        pair = tuple(int(v) for v in item)
-        if len(pair) != 2:
-            raise ConfigError(f"combo must be a pair (I, R), got {item!r}")
-        combos.append(pair)
-    return combos
-
-
 def _sweep_tables(cfg: dict):
-    rules = [int(r) for r in cfg.get("rules", DEFAULT_RULES)]
-    if "rule" in cfg:
-        rules = [int(cfg["rule"])]
-    combos = _parse_combos(cfg.get("combos", DEFAULT_COMBOS))
+    """Run every (rule, combo) cell of the sweep.
+
+    Returns the metadata, the rules, the combos and each cell's success
+    rates, one per layer.
+    """
+    rules = [cfg["rule"]] if "rule" in cfg else cfg.get("rules", DEFAULT_RULES)
+    combos = [tuple(pair) for pair in cfg.get("combos", DEFAULT_COMBOS)]
     if "iterations" in cfg or "mappings" in cfg:
-        combos = [(int(cfg.get("iterations", 8)), int(cfg.get("mappings", 8)))]
+        combos = [(cfg.get("iterations", 8), cfg.get("mappings", 8))]
     if not rules or not combos:
         raise ConfigError("sweep needs at least one rule and one (I, R) combo")
-    n_runs = int(cfg.get("runs", 100))
-    layered = bool(cfg.get("layered"))
-    diffuse = int(cfg.get("diffuse", 40))
-    distractor = int(cfg.get("distractor", 200))
-    seed = int(cfg.get("seed", 0))
+    n_runs = cfg.get("runs", 100)
     workers = cfg.get("workers")
-    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    workers = (os.cpu_count() or 1) if workers is None else workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, n_runs)
 
-    layer1 = {}
-    layer2 = {}
+    rates = {}
     for rule in rules:
         for iterations, mappings in combos:
             print(
@@ -154,51 +166,47 @@ def _sweep_tables(cfg: dict):
                 f"x{n_runs} runs",
                 file=sys.stderr,
             )
-            config = build_config(
-                rule=rule,
-                iterations=iterations,
-                mappings=mappings,
-                diffuse=diffuse,
-                distractor=distractor,
-                seed=seed,
-                layer2_rule=rule if layered else None,
+            config = _run_config_from(
+                {**cfg, "rule": rule, "iterations": iterations, "mappings": mappings}
             )
-            batch = run_batch(config, n_runs, workers=workers)
-            layer1[(rule, iterations, mappings)] = batch.layer1_rate
-            if layered:
-                layer2[(rule, iterations, mappings)] = batch.layer2_rate
+            rates[(rule, iterations, mappings)] = run_batch(
+                config, n_runs, workers=workers
+            ).rates
 
-    meta = {"ld": diffuse, "td": distractor, "runs": n_runs, "seed": seed}
-    tables = [(1, rules, combos, layer1)]
-    if layered:
-        tables.append((2, rules, combos, layer2))
-    return meta, tables
+    meta = {
+        "ld": cfg.get("diffuse", 40),
+        "td": cfg.get("distractor", 200),
+        "runs": n_runs,
+        "seed": cfg.get("seed", 0),
+    }
+    return meta, rules, combos, rates
 
 
-def _format_sweep_csv(meta: dict, tables, timestamp: bool) -> str:
+def _format_sweep_csv(meta: dict, rules, combos, rates, timestamp: bool) -> str:
+    """Metadata lines, then one rule-by-combo table of success rates per layer."""
     buf = io.StringIO()
     for key, value in meta.items():
         buf.write(f"# {key}={value}\n")
     if timestamp:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         buf.write(f"# timestamp={stamp}\n")
-    for i, (layer, rules, combos, cells) in enumerate(tables):
-        if i:
+    n_layers = len(next(iter(rates.values())))
+    for k in range(n_layers):
+        if k:
             buf.write("\n")
-        buf.write(f"# layer={layer}\n")
+        buf.write(f"# layer={k + 1}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["rule"] + [f"({i_},{r_})" for i_, r_ in combos])
         for rule in rules:
             writer.writerow(
-                [rule] + [f"{cells[(rule, i_, r_)]:.1f}" for i_, r_ in combos]
+                [rule] + [f"{rates[(rule, i_, r_)][k]:.1f}" for i_, r_ in combos]
             )
     return buf.getvalue()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged(args, {})
-    meta, tables = _sweep_tables(cfg)
-    text = _format_sweep_csv(meta, tables, timestamp=not args.no_timestamp)
+    text = _format_sweep_csv(*_sweep_tables(cfg), timestamp=not args.no_timestamp)
     out = cfg.get("out")
     if out:
         try:

@@ -78,37 +78,3 @@ def generate_mappings(config: EncoderConfig) -> MappingSet:
         ]
     )
     return MappingSet(config.input_width, config.diffuse_length, maps)
-
-
-def _check_input(input_bits: np.ndarray, mappings: MappingSet) -> np.ndarray:
-    x = np.asarray(input_bits, dtype=np.uint8)
-    if x.shape != (mappings.input_width,):
-        raise ValueError(
-            f"input must have length {mappings.input_width}, got shape {x.shape}"
-        )
-    return x
-
-
-def encode_initial(input_bits: np.ndarray, mappings: MappingSet) -> np.ndarray:
-    """Map an input vector onto a fresh all-zero automaton of width R*L_d."""
-    x = _check_input(input_bits, mappings)
-    state = np.zeros(mappings.state_width, dtype=np.uint8)
-    state[mappings.positions] = np.tile(x, mappings.count)
-    return state
-
-
-def combine_overwrite(
-    input_bits: np.ndarray, previous_final: np.ndarray, mappings: MappingSet
-) -> np.ndarray:
-    """Write the mapped input (zeros included) onto a copy of the previous state."""
-    x = _check_input(input_bits, mappings)
-    prev = np.asarray(previous_final, dtype=np.uint8)
-    if prev.shape != (mappings.state_width,):
-        raise ValueError(
-            f"previous state must have width {mappings.state_width}, "
-            f"got shape {prev.shape}"
-        )
-    state = prev.copy()
-    state[mappings.positions] = np.tile(x, mappings.count)
-    return state
-

@@ -20,7 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .memory_task import INPUT_WIDTH, OUTPUT_WIDTH, EvaluationResult, all_patterns
+from .memory_task import (
+    INPUT_WIDTH,
+    OUTPUT_WIDTH,
+    EvaluationResult,
+    all_patterns,
+    evaluate,
+)
 from .readout import binarize_array, fit, predict
 from .reservoir import ReservoirParams, make_mappings, run_sequences
 
@@ -44,37 +50,42 @@ class RunConfig:
                 "(the binarized layer-1 outputs)"
             )
 
+    @property
+    def layers(self) -> tuple[ReservoirParams, ...]:
+        """The reservoir stages in run order."""
+        return (self.layer1,) if self.layer2 is None else (self.layer1, self.layer2)
+
 
 @dataclass(frozen=True)
 class RunResult:
-    layer1_eval: EvaluationResult
-    layer2_eval: EvaluationResult | None
+    evals: tuple[EvaluationResult, ...]  # one per layer, in run order
     timing: dict[str, float]
 
     @property
+    def layer1_eval(self) -> EvaluationResult:
+        return self.evals[0]
+
+    @property
+    def layer2_eval(self) -> EvaluationResult | None:
+        return self.evals[1] if len(self.evals) > 1 else None
+
+    @property
     def success(self) -> bool:
-        final = self.layer2_eval if self.layer2_eval is not None else self.layer1_eval
-        return final.success
+        return self.evals[-1].success
 
 
 @dataclass(frozen=True)
 class BatchResult:
-    layer1_successes: list[bool]
-    layer2_successes: list[bool] | None
+    successes: tuple[list[bool], ...]  # one list per layer, indexed by run
 
     @property
     def n_runs(self) -> int:
-        return len(self.layer1_successes)
+        return len(self.successes[0])
 
     @property
-    def layer1_rate(self) -> float:
-        return 100.0 * sum(self.layer1_successes) / self.n_runs
-
-    @property
-    def layer2_rate(self) -> float | None:
-        if self.layer2_successes is None:
-            return None
-        return 100.0 * sum(self.layer2_successes) / self.n_runs
+    def rates(self) -> list[float]:
+        """Percentage of successful runs, one entry per layer."""
+        return [100.0 * sum(layer) / self.n_runs for layer in self.successes]
 
 
 def build_config(
@@ -121,34 +132,50 @@ def build_config(
 
 
 def config_with_seed(config: RunConfig, seed: int) -> RunConfig:
-    """Same architecture, reseeded; layer seeds re-derive from ``seed``."""
-    layer1 = replace(config.layer1, seed=seed)
-    layer2 = None
-    if config.layer2 is not None:
-        layer2 = replace(config.layer2, seed=seed + LAYER2_SEED_OFFSET)
-    return replace(config, layer1=layer1, layer2=layer2, run_seed=seed)
+    """Same architecture, reseeded.
+
+    Layer k, counted from 0, gets seed ``seed + k * LAYER2_SEED_OFFSET``.
+    """
+    layers = {
+        f"layer{k + 1}": replace(params, seed=seed + k * LAYER2_SEED_OFFSET)
+        for k, params in enumerate(config.layers)
+    }
+    return replace(config, run_seed=seed, **layers)
+
+
+def _task_arrays(config: RunConfig):
+    """The 32 task sequences, their stacked (32, T, 4) inputs and (32, T, 3) targets."""
+    tasks = all_patterns(config.distractor)
+    inputs = np.stack([task.inputs for task in tasks])
+    targets = np.stack([task.targets for task in tasks])
+    return tasks, inputs, targets
 
 
 def _run_layer(
     inputs: np.ndarray, targets: np.ndarray, params: ReservoirParams
-) -> tuple[EvaluationResult, np.ndarray, dict[str, float]]:
+) -> tuple[np.ndarray, dict[str, float]]:
     """Train and self-test one encoder/reservoir/readout stage.
 
-    Returns the evaluation, the binarized predictions with shape
-    (n_sequences, T, 3), and per-phase wall-clock timings.
+    Returns the binarized predictions with shape (n_sequences, T, 3) and
+    per-phase wall-clock timings. The layer's features are freed on return,
+    before the next layer runs.
     """
     t0 = time.perf_counter()
     mappings = make_mappings(params)
     features, _ = run_sequences(inputs, params, mappings)
     reservoir_s = time.perf_counter() - t0
-    evaluation, preds, timing = _fit_readout(features, targets)
-    return evaluation, preds, {"reservoir": reservoir_s, **timing}
+    preds, timing = _fit_readout(features, targets)
+    return preds, {"reservoir": reservoir_s, **timing}
 
 
 def _fit_readout(
     features: np.ndarray, targets: np.ndarray
-) -> tuple[EvaluationResult, np.ndarray, dict[str, float]]:
-    """Fit one readout on a layer's (n_sequences, T, p) features and self-test it."""
+) -> tuple[np.ndarray, dict[str, float]]:
+    """Fit one readout on a layer's (n_sequences, T, p) features.
+
+    Returns its binarized predictions on those same features, shaped
+    (n_sequences, T, 3), and the fit and predict timings.
+    """
     timing = {}
     n_seq, seq_len, feat_len = features.shape
     x = features.reshape(n_seq * seq_len, feat_len)
@@ -162,48 +189,24 @@ def _fit_readout(
     raw = predict(model, x)
     preds = binarize_array(raw).reshape(n_seq, seq_len, OUTPUT_WIDTH)
     timing["predict"] = time.perf_counter() - t0
-
-    total = int(y.size)
-    correct = int(np.count_nonzero(preds.reshape(-1, OUTPUT_WIDTH) == y))
-    return EvaluationResult(total, correct), preds, timing
-
-
-def run_single(config: RunConfig) -> RunResult:
-    """One full train-and-test run of the single-layer system."""
-    tasks = all_patterns(config.distractor)
-    inputs = np.stack([task.inputs for task in tasks])
-    targets = np.stack([task.targets for task in tasks])
-    evaluation, _, timing = _run_layer(inputs, targets, config.layer1)
-    return RunResult(evaluation, None, {f"layer1_{k}": v for k, v in timing.items()})
-
-
-def run_layered(config: RunConfig) -> RunResult:
-    """One full run of the two-layer system; layer 2 eats layer 1's predictions."""
-    if config.layer2 is None:
-        raise ValueError("run_layered requires a layer-2 configuration")
-    tasks = all_patterns(config.distractor)
-    inputs = np.stack([task.inputs for task in tasks])
-    targets = np.stack([task.targets for task in tasks])
-
-    eval1, preds1, timing1 = _run_layer(inputs, targets, config.layer1)
-    eval2, _, timing2 = _run_layer(preds1, targets, config.layer2)
-    timing = {f"layer1_{k}": v for k, v in timing1.items()}
-    timing.update({f"layer2_{k}": v for k, v in timing2.items()})
-    return RunResult(eval1, eval2, timing)
+    return preds, timing
 
 
 def run_once(config: RunConfig) -> RunResult:
-    """Dispatch to run_single or run_layered based on the config."""
-    if config.layer2 is None:
-        return run_single(config)
-    return run_layered(config)
+    """One full train-and-test run; each layer eats the previous layer's predictions."""
+    tasks, inputs, targets = _task_arrays(config)
+    evals = []
+    timing = {}
+    for k, params in enumerate(config.layers, start=1):
+        inputs, layer_timing = _run_layer(inputs, targets, params)
+        evals.append(evaluate(inputs, tasks))
+        timing.update({f"layer{k}_{name}": v for name, v in layer_timing.items()})
+    return RunResult(tuple(evals), timing)
 
 
-def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, bool | None]:
+def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
     config, seed = args
-    result = run_once(config_with_seed(config, seed))
-    eval2 = result.layer2_eval
-    return result.layer1_eval.success, None if eval2 is None else eval2.success
+    return tuple(ev.success for ev in run_once(config_with_seed(config, seed)).evals)
 
 
 def run_batch(config: RunConfig, n_runs: int, workers: int = 1) -> BatchResult:
@@ -220,34 +223,24 @@ def run_batch(config: RunConfig, n_runs: int, workers: int = 1) -> BatchResult:
             outcomes = list(pool.map(_batch_worker, jobs, chunksize=1))
     else:
         outcomes = [_batch_worker(job) for job in jobs]
-
-    layer1 = [ok1 for ok1, _ in outcomes]
-    layer2 = None
-    if config.layer2 is not None:
-        layer2 = [bool(ok2) for _, ok2 in outcomes]
-    return BatchResult(layer1, layer2)
+    return BatchResult(tuple(list(layer) for layer in zip(*outcomes)))
 
 
 def space_time_grids(config: RunConfig, pattern_id: int = 0) -> list[np.ndarray]:
     """Space-time diagrams of one pattern's run, one (T*I, R*L_d) grid per layer.
 
-    The layer-2 band depends on layer-1 predictions, which in turn depend on
-    the joint fit over all 32 sequences, so this replays a full run.
+    A later layer's band depends on the previous layer's predictions, which
+    in turn depend on the joint fit over all 32 sequences, so this replays a
+    full run; the last layer's readout is not fitted, as no band needs it.
     """
-    tasks = all_patterns(config.distractor)
-    inputs = np.stack([task.inputs for task in tasks])
-    targets = np.stack([task.targets for task in tasks])
+    tasks, inputs, targets = _task_arrays(config)
     if not 0 <= pattern_id < len(tasks):
         raise ValueError(f"pattern_id must be in [0, {len(tasks)})")
 
-    mappings1 = make_mappings(config.layer1)
-    features1, _ = run_sequences(inputs, config.layer1, mappings1)
-    grids = [features1[pattern_id].reshape(-1, config.layer1.state_width)]
-    if config.layer2 is None:
-        return grids
-
-    _, preds1, _ = _fit_readout(features1, targets)
-    mappings2 = make_mappings(config.layer2)
-    features2, _ = run_sequences(preds1, config.layer2, mappings2)
-    grids.append(features2[pattern_id].reshape(-1, config.layer2.state_width))
+    grids = []
+    for k, params in enumerate(config.layers, start=1):
+        features, _ = run_sequences(inputs, params, make_mappings(params))
+        grids.append(features[pattern_id].reshape(-1, params.state_width))
+        if k < len(config.layers):
+            inputs, _ = _fit_readout(features, targets)
     return grids

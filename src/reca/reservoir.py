@@ -100,7 +100,7 @@ def run_sequences(
     for t in range(seq_len):
         stepper.state[:, mappings.positions] = tiled[t]
         for k in range(iterations):
-            stepper.step(history[t, k])
+            stepper.advance(history[t, k])
 
     # Byte b of a word holds lanes 8b..8b+7: split the words into contiguous
     # (T, I, width) byte planes, then peel one bit per sequence off them.
@@ -116,26 +116,3 @@ def run_sequences(
         np.right_shift(planes[group, byte], bit, out=shifted)
         np.bitwise_and(shifted, 1, out=features[s].reshape(shifted.shape))
     return features, features[:, -1, -width:].copy()
-
-
-def run_sequence(
-    inputs: np.ndarray, params: ReservoirParams, mappings: MappingSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run a single sequence; returns (features (T, I*R*L_d), final state)."""
-    x = np.asarray(inputs, dtype=np.uint8)
-    if x.ndim != 2:
-        raise ValueError("inputs must have shape (T, L_in)")
-    features, finals = run_sequences(x[None], params, mappings)
-    return features[0], finals[0]
-
-
-def record_space_time(
-    inputs: np.ndarray, params: ReservoirParams, mappings: MappingSet
-) -> np.ndarray:
-    """Full iteration-by-iteration grid for one sequence.
-
-    Row (t*I + k) is the k-th evolved automaton row of time step t; the grid
-    is exactly the run_sequence features reshaped to (T*I, R*L_d).
-    """
-    features, _ = run_sequence(inputs, params, mappings)
-    return features.reshape(-1, params.state_width)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from reca.ca import complement_rule, lambda_param, make_rule, mirror_rule, step
+from reca.ca import complement_rule, lambda_param, make_rule, mirror_rule, step_rows
 from reca.memory_task import all_patterns, evaluate
 from reca.pipeline import build_config, run_batch
 from reca.readout import fit, predict
@@ -31,8 +31,8 @@ def batch_rates(rule, iterations, mappings, n_runs, seed, layered=False):
         diffuse=40, distractor=200, seed=seed,
         layer2_rule=rule if layered else None,
     )
-    batch = run_batch(config, n_runs)
-    return batch.layer1_rate, batch.layer2_rate
+    rates = run_batch(config, n_runs).rates
+    return rates[0], rates[1] if layered else None
 
 
 def test_criterion_6_stepper_matches_naive_oracle():
@@ -43,7 +43,8 @@ def test_criterion_6_stepper_matches_naive_oracle():
         rule = make_rule(number)
         for width in widths:
             state = rng.integers(0, 2, size=int(width), dtype=np.uint8)
-            if not np.array_equal(step(state, rule), naive_step(state, number)):
+            stepped = step_rows(state[None], rule)[0]
+            if not np.array_equal(stepped, naive_step(state, number)):
                 ok = False
                 break
         if not ok:
@@ -69,10 +70,12 @@ def test_criterion_7_rule_algebra():
         ok = ok and mirror_rule(comp).number == complement_rule(mirrored).number
         for _ in range(100):
             state = rng.integers(0, 2, size=31, dtype=np.uint8)
-            if not np.array_equal(step(state, rule)[::-1], step(state[::-1], mirrored)):
+            if not np.array_equal(step_rows(state[None], rule)[0][::-1],
+                                  step_rows(state[None, ::-1], mirrored)[0]):
                 ok = False
                 break
-            if not np.array_equal(1 - step(state, rule), step(1 - state, comp)):
+            if not np.array_equal(1 - step_rows(state[None], rule)[0],
+                                  step_rows(1 - state[None], comp)[0]):
                 ok = False
                 break
     report(7, ok, "102->153/60/195; involution and commutation over all rules")

@@ -6,15 +6,33 @@ from reca.ca import (
     LaneStepper,
     anf_terms,
     complement_rule,
-    evolve,
     lambda_param,
     make_rule,
     mirror_rule,
     rule_from_table,
-    step,
     step_rows,
 )
+from reca.encoding import MappingSet
+from reca.reservoir import ReservoirParams, run_sequences
 from reference import naive_step
+
+
+def step(state, rule):
+    """One update of a single row, through the batched ``step_rows``."""
+    return step_rows(np.asarray(state)[None], rule)[0]
+
+
+def evolve(state, rule, iterations):
+    """The ``iterations`` rows that ``run_sequences`` evolves from ``state``.
+
+    One time step whose input fills the whole automaton through the identity
+    mapping, so the encoded state is ``state`` itself.
+    """
+    width = len(state)
+    params = ReservoirParams(rule.number, iterations, 1, width, width, seed=0)
+    mappings = MappingSet(width, width, np.arange(width)[None])
+    features, _ = run_sequences(np.asarray(state)[None, None], params, mappings)
+    return features.reshape(iterations, width)
 
 
 def test_make_rule_110_table():
@@ -64,13 +82,15 @@ def test_step_rule_204_is_identity():
 
 def test_step_rejects_narrow_state():
     with pytest.raises(ValueError):
-        step(np.array([1, 0], dtype=np.uint8), make_rule(90))
+        step_rows(np.array([[1, 0]], dtype=np.uint8), make_rule(90))
+    with pytest.raises(ValueError):
+        step_rows(np.array([0, 1, 0, 1], dtype=np.uint8), make_rule(90))
 
 
 def test_step_does_not_modify_input():
-    state = np.array([0, 0, 1, 0, 0], dtype=np.uint8)
-    step(state, make_rule(110))
-    assert state.tolist() == [0, 0, 1, 0, 0]
+    states = np.array([[0, 0, 1, 0, 0], [1, 1, 0, 1, 0]], dtype=np.uint8)
+    step_rows(states, make_rule(110))
+    assert states.tolist() == [[0, 0, 1, 0, 0], [1, 1, 0, 1, 0]]
 
 
 def test_step_matches_naive_oracle():
@@ -84,12 +104,12 @@ def test_step_matches_naive_oracle():
 
 
 def test_step_rows_matches_step():
+    # Rows are independent automata: each wraps on its own ring.
     rng = np.random.default_rng(7)
     states = rng.integers(0, 2, size=(10, 33), dtype=np.uint8)
-    rule = make_rule(110)
-    batched = step_rows(states, rule)
+    batched = step_rows(states, make_rule(110))
     for i in range(10):
-        assert np.array_equal(batched[i], step(states[i], rule))
+        assert np.array_equal(batched[i], naive_step(states[i], 110))
 
 
 def test_evolve_single_iteration():
@@ -202,7 +222,7 @@ def test_lane_stepper_matches_naive_oracle_for_every_rule():
         stepper = LaneStepper(make_rule(number), 2, width)
         stepper.state[...] = words
         out = np.empty((2, width), dtype=np.uint32)
-        stepper.step(out)
+        stepper.advance(out)
         lanes = (out[:, None, :] >> np.arange(LANES, dtype=np.uint32)[:, None]) & 1
         expected = np.stack([naive_step(row, number) for row in rows])
         assert np.array_equal(lanes.reshape(2 * LANES, width), expected), number

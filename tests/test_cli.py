@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,29 @@ def test_layer2_config_must_be_an_object(tmp_path, capsys):
     assert "layer2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "render"])
+@pytest.mark.parametrize(
+    "cfg,key",
+    [
+        ({"rule": 90, "iterations": 2.7}, "iterations"),
+        ({"rule": 90, "layer2": {"iterations": 2.5}}, "iterations"),
+        ({"rule": 90, "iterations": True}, "iterations"),
+        ({"rules": [90], "combos": [[2, 4.0]]}, "combos"),
+    ],
+)
+def test_non_integer_config_values_are_usage_errors(
+    tmp_path, monkeypatch, capsys, command, cfg, key
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran with a non-integer config value")
+
+    for name in ("run_once", "run_batch", "space_time_grids"):
+        monkeypatch.setattr(reca.cli, name, must_not_run)
+    path = write_config(tmp_path / "cfg.json", **cfg)
+    assert main([command, "--config", path]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", rule=0, iterations=2, mappings=2,
                        distractor=20)
@@ -138,6 +162,44 @@ def test_sweep_config_file_grid(tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == ["90", "150"]
 
 
+GOLDEN_SWEEP = Path(__file__).with_name("golden_sweep.csv")
+
+
+def test_sweep_matches_golden_csv(tmp_path):
+    # 11 default rules x (2,4),(4,4), layered, T_d=50, seed 7: any verdict
+    # that moves changes a cell of this file.
+    cfg = write_config(tmp_path / "golden.json", combos=[[2, 4], [4, 4]], runs=2,
+                       distractor=50, seed=7)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--layered", "--no-timestamp",
+                 "--workers", "1", "--out", str(out)]) == 0
+    assert out.read_text() == GOLDEN_SWEEP.read_text()
+
+
+@pytest.mark.parametrize("layered", [False, True])
+def test_sweep_applies_layer2_block(tmp_path, monkeypatch, layered):
+    configs = []
+
+    def recording_batch(config, n_runs, workers=1):
+        configs.append(config)
+        return reca.pipeline.BatchResult(tuple([True] * n_runs for _ in config.layers))
+
+    monkeypatch.setattr(reca.cli, "run_batch", recording_batch)
+    layer2 = {"rule": 180, "iterations": 1, "mappings": 1, "diffuse": 4}
+    cfg = write_config(tmp_path / "sweep.json", rules=[90, 165], combos=[[2, 4]],
+                       runs=2, layered=layered, layer2=layer2)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--no-timestamp", "--workers", "1",
+                 "--out", str(out)]) == 0
+    assert [c.layer1.rule for c in configs] == [90, 165]
+    for config in configs:
+        assert (config.layer1.iterations, config.layer1.mapping_count) == (2, 4)
+        l2 = config.layer2
+        assert l2 is not None
+        assert (l2.rule, l2.iterations, l2.mapping_count, l2.diffuse_length) == (180, 1, 1, 4)
+    assert "# layer=2" in out.read_text()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_workers_below_one(monkeypatch, capsys, workers):
     calls = []
@@ -153,7 +215,7 @@ def test_sweep_clamps_workers_to_run_count(monkeypatch, capsys):
 
     def fake_batch(config, n_runs, workers=1):
         seen.append(workers)
-        return reca.pipeline.BatchResult([True] * n_runs, None)
+        return reca.pipeline.BatchResult(([True] * n_runs,))
 
     monkeypatch.setattr(reca.cli, "run_batch", fake_batch)
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
@@ -204,7 +266,7 @@ def test_render_rule_0_is_all_white(tmp_path):
 def test_render_matches_record_space_time(tmp_path):
     from reca.memory_task import all_patterns
     from reca.pipeline import build_config
-    from reca.reservoir import make_mappings, record_space_time
+    from reca.reservoir import make_mappings, run_sequences
 
     base = tmp_path / "check"
     assert main(["render", "--rule", "110", "--iterations", "3", "--mappings", "2",
@@ -212,8 +274,9 @@ def test_render_matches_record_space_time(tmp_path):
                  "--out", str(base)]) == 0
     config = build_config(rule=110, iterations=3, mappings=2, diffuse=10,
                           distractor=20, seed=4)
-    grid = record_space_time(all_patterns(20)[0].inputs, config.layer1,
-                             make_mappings(config.layer1))
+    inputs = np.stack([task.inputs for task in all_patterns(20)])
+    features, _ = run_sequences(inputs, config.layer1, make_mappings(config.layer1))
+    grid = features[0].reshape(-1, config.layer1.state_width)
     assert (tmp_path / "check_layer1.pgm").read_bytes() == grid_to_pgm(grid)
     assert (tmp_path / "check_layer1.txt").read_text() == grid_to_ascii(grid) + "\n"
 

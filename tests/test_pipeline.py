@@ -1,15 +1,16 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
-from reca.memory_task import all_patterns
+from reca.memory_task import all_patterns, evaluate
 from reca.pipeline import (
     LAYER2_SEED_OFFSET,
     build_config,
     config_with_seed,
     run_batch,
-    run_layered,
     run_once,
-    run_single,
     space_time_grids,
 )
 
@@ -20,29 +21,29 @@ FAST = dict(diffuse=40, distractor=20, seed=7)
 
 def test_rule_0_always_fails():
     config = build_config(rule=0, iterations=2, mappings=2, **FAST)
-    result = run_single(config)
+    result = run_once(config)
     assert not result.layer1_eval.success
     assert result.layer2_eval is None
 
 
 def test_rule_90_8_8_succeeds():
     config = build_config(rule=90, iterations=8, mappings=8, **FAST)
-    result = run_single(config)
+    result = run_once(config)
     assert result.layer1_eval.success
     assert result.layer1_eval.total_bits == 3 * 30 * 32
 
 
 def test_run_is_reproducible():
     config = build_config(rule=150, iterations=4, mappings=4, **FAST)
-    a = run_single(config)
-    b = run_single(config)
+    a = run_once(config)
+    b = run_once(config)
     assert a.layer1_eval == b.layer1_eval
 
 
 def test_layered_run_evaluates_both_layers():
     config = build_config(rule=90, iterations=4, mappings=4,
                           layer2_rule=90, **FAST)
-    result = run_layered(config)
+    result = run_once(config)
     assert result.layer2_eval is not None
     assert result.layer2_eval.total_bits == result.layer1_eval.total_bits
 
@@ -51,7 +52,7 @@ def test_layer1_eval_matches_single_run_with_same_seed():
     single = build_config(rule=102, iterations=4, mappings=4, **FAST)
     layered = build_config(rule=102, iterations=4, mappings=4,
                            layer2_rule=102, **FAST)
-    assert run_layered(layered).layer1_eval == run_single(single).layer1_eval
+    assert run_once(layered).layer1_eval == run_once(single).layer1_eval
 
 
 def test_layer2_input_width_is_three():
@@ -67,16 +68,12 @@ def test_layer_seeds_are_independent_draws():
     assert config.layer2.seed == config.layer1.seed + LAYER2_SEED_OFFSET
 
 
-def test_run_layered_requires_layer2():
-    config = build_config(rule=90, iterations=2, mappings=2, **FAST)
-    with pytest.raises(ValueError):
-        run_layered(config)
-
-
 def test_run_once_dispatches():
     single = build_config(rule=90, iterations=2, mappings=2, **FAST)
     layered = build_config(rule=90, iterations=2, mappings=2, **FAST,
                            layer2_rule=90)
+    assert single.layers == (single.layer1,)
+    assert layered.layers == (layered.layer1, layered.layer2)
     assert run_once(single).layer2_eval is None
     assert run_once(layered).layer2_eval is not None
 
@@ -93,25 +90,25 @@ def test_config_with_seed_rederives_layer_seeds():
 def test_run_batch_single_run_rate_is_zero_or_hundred():
     config = build_config(rule=90, iterations=2, mappings=2, **FAST)
     batch = run_batch(config, 1)
-    assert batch.layer1_rate in (0.0, 100.0)
-    assert batch.layer2_successes is None
+    assert len(batch.rates) == 1
+    assert batch.rates[0] in (0.0, 100.0)
 
 
 def test_run_batch_uses_sequential_seeds():
     config = build_config(rule=90, iterations=4, mappings=4, **FAST)
     batch = run_batch(config, 4)
     expected = [
-        run_single(config_with_seed(config, config.run_seed + i)).layer1_eval.success
+        run_once(config_with_seed(config, config.run_seed + i)).layer1_eval.success
         for i in range(4)
     ]
-    assert batch.layer1_successes == expected
+    assert batch.successes == (expected,)
 
 
 def test_run_batch_parallel_matches_serial():
     config = build_config(rule=150, iterations=2, mappings=4, **FAST)
     serial = run_batch(config, 4, workers=1)
     parallel = run_batch(config, 4, workers=2)
-    assert serial.layer1_successes == parallel.layer1_successes
+    assert serial.successes == parallel.successes
 
 
 def test_trainable_parameter_count_matches_feature_size():
@@ -130,14 +127,13 @@ def test_space_time_grids_shapes():
 
 
 def test_space_time_grid_matches_reservoir_record():
-    from reca.reservoir import make_mappings, record_space_time
+    from reca.reservoir import make_mappings, run_sequences
 
     config = build_config(rule=110, iterations=3, mappings=2, **FAST)
     grids = space_time_grids(config, pattern_id=4)
-    tasks = all_patterns(config.distractor)
-    expected = record_space_time(
-        tasks[4].inputs, config.layer1, make_mappings(config.layer1)
-    )
+    inputs = np.stack([task.inputs for task in all_patterns(config.distractor)])
+    features, _ = run_sequences(inputs, config.layer1, make_mappings(config.layer1))
+    expected = features[4].reshape(-1, config.layer1.state_width)
     assert np.array_equal(grids[0], expected)
 
 
@@ -149,3 +145,51 @@ def test_layer2_config_rejects_wrong_input_width():
     bad_layer2 = ReservoirParams(90, 2, 2, 10, 4, 1)
     with pytest.raises(ValueError):
         RunConfig(layer1=layer1, layer2=bad_layer2, distractor=20)
+
+
+# The layer phases the benchmark times, by defining module, in call order.
+TRACED = [
+    ("encoding", "generate_mappings"),
+    ("reservoir", "run_sequences"),
+    ("readout", "fit"),
+    ("readout", "predict"),
+    ("readout", "binarize_array"),
+    ("memory_task", "evaluate"),
+]
+
+
+def record_calls(monkeypatch, calls):
+    """Swap a recording wrapper in wherever a reca module holds a traced function."""
+    for module_name, name in TRACED:
+        original = getattr(importlib.import_module(f"reca.{module_name}"), name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((_name, args, result))
+            return result
+
+        for qualname, module in list(sys.modules.items()):
+            if qualname == "reca" or qualname.startswith("reca."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+
+
+@pytest.mark.parametrize("layered", [False, True])
+def test_run_once_calls_each_layer_phase_once_per_layer(monkeypatch, layered):
+    calls = []
+    record_calls(monkeypatch, calls)
+    config = build_config(rule=90, iterations=2, mappings=2,
+                          layer2_rule=90 if layered else None, **FAST)
+    result = run_once(config)
+
+    n_layers = len(config.layers)
+    assert [name for name, _, _ in calls] == [name for _, name in TRACED] * n_layers
+    inputs = [args[0] for name, args, _ in calls if name == "run_sequences"]
+    assert [x.shape for x in inputs] == [(32, 30, 4), (32, 30, 3)][:n_layers]
+    first_bits = next(out for name, _, out in calls if name == "binarize_array")
+    tasks = all_patterns(config.distractor)
+    evaluation = evaluate(first_bits.reshape(len(tasks), -1, 3), tasks)
+    assert evaluation.correct_bits == result.layer1_eval.correct_bits
+    if layered:  # layer 2 reads layer 1's binarized predictions
+        assert np.array_equal(inputs[1], first_bits.reshape(len(tasks), -1, 3))

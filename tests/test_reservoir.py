@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reca.ca import evolve, make_rule
-from reca.encoding import combine_overwrite, encode_initial
-from reca.reservoir import (
-    ReservoirParams,
-    make_mappings,
-    record_space_time,
-    run_sequence,
-    run_sequences,
-)
+from reca.reservoir import ReservoirParams, make_mappings, run_sequences
 from reference import naive_step
 
 
@@ -20,27 +12,43 @@ def params(rule=90, iterations=2, mappings=2, diffuse=10, input_width=4, seed=0)
 
 
 def random_inputs(rng, t, width=4):
-    return rng.integers(0, 2, size=(t, width), dtype=np.uint8)
+    return rng.integers(0, 2, size=(1, t, width), dtype=np.uint8)
+
+
+def naive_evolve(state, rule, iterations):
+    """``iterations`` rows of ``reference.naive_step`` from ``state``, seed excluded."""
+    rows = []
+    for _ in range(iterations):
+        state = naive_step(state, rule)
+        rows.append(state)
+    return np.stack(rows)
+
+
+def encoded(bits, ms):
+    """The input written onto a blank automaton."""
+    state = np.zeros(ms.state_width, dtype=np.uint8)
+    state[ms.positions] = np.tile(bits, ms.count)
+    return state
 
 
 def test_single_step_matches_evolve_of_initial_encoding():
     p = params(rule=110, iterations=3)
     ms = make_mappings(p)
-    x = np.array([[1, 0, 0, 1]], dtype=np.uint8)
-    features, final = run_sequence(x, p, ms)
-    expected = evolve(encode_initial(x[0], ms), make_rule(110), 3)
-    assert features.shape == (1, p.feature_length)
-    assert np.array_equal(features[0], expected.ravel())
-    assert np.array_equal(final, expected[-1])
+    x = np.array([[[1, 0, 0, 1]]], dtype=np.uint8)
+    features, finals = run_sequences(x, p, ms)
+    expected = naive_evolve(encoded(x[0, 0], ms), 110, 3)
+    assert features.shape == (1, 1, p.feature_length)
+    assert np.array_equal(features[0, 0], expected.ravel())
+    assert np.array_equal(finals[0], expected[-1])
 
 
 def test_rule_0_gives_all_zero_features():
     p = params(rule=0, iterations=4)
     ms = make_mappings(p)
     rng = np.random.default_rng(1)
-    features, final = run_sequence(random_inputs(rng, 6), p, ms)
+    features, finals = run_sequences(random_inputs(rng, 6), p, ms)
     assert not features.any()
-    assert not final.any()
+    assert not finals.any()
 
 
 def test_feature_length_matches_paper_example():
@@ -48,8 +56,8 @@ def test_feature_length_matches_paper_example():
     assert p.feature_length == 2560
     ms = make_mappings(p)
     rng = np.random.default_rng(2)
-    features, _ = run_sequence(random_inputs(rng, 3), p, ms)
-    assert features.shape == (3, 2560)
+    features, _ = run_sequences(random_inputs(rng, 3), p, ms)
+    assert features.shape == (1, 3, 2560)
 
 
 def test_recurrence_seeds_from_previous_final_state():
@@ -57,18 +65,16 @@ def test_recurrence_seeds_from_previous_final_state():
     ms = make_mappings(p)
     rng = np.random.default_rng(3)
     x = random_inputs(rng, 4)
-    features, _ = run_sequence(x, p, ms)
+    features, _ = run_sequences(x, p, ms)
 
-    rule = make_rule(110)
-    state = encode_initial(x[0], ms)
+    state = np.zeros(ms.state_width, dtype=np.uint8)
     expected = []
     for t in range(4):
-        if t > 0:
-            state = combine_overwrite(x[t], state, ms)
-        rows = evolve(state, rule, p.iterations)
+        state[ms.positions] = np.tile(x[0, t], ms.count)
+        rows = naive_evolve(state, 110, p.iterations)
         expected.append(rows.ravel())
-        state = rows[-1]
-    assert np.array_equal(features, np.stack(expected))
+        state = rows[-1].copy()
+    assert np.array_equal(features[0], np.stack(expected))
 
 
 def test_determinism():
@@ -76,8 +82,8 @@ def test_determinism():
     ms = make_mappings(p)
     rng = np.random.default_rng(4)
     x = random_inputs(rng, 5)
-    f1, s1 = run_sequence(x, p, ms)
-    f2, s2 = run_sequence(x, p, ms)
+    f1, s1 = run_sequences(x, p, ms)
+    f2, s2 = run_sequences(x, p, ms)
     assert np.array_equal(f1, f2) and np.array_equal(s1, s2)
 
 
@@ -88,47 +94,39 @@ def test_batched_sequences_match_individual_runs():
     batch = rng.integers(0, 2, size=(5, 7, 4), dtype=np.uint8)
     features, finals = run_sequences(batch, p, ms)
     for i in range(5):
-        f, s = run_sequence(batch[i], p, ms)
-        assert np.array_equal(features[i], f)
-        assert np.array_equal(finals[i], s)
-
-
-def test_record_space_time_reshape_equivalence():
-    p = params(rule=90, iterations=3, mappings=2)
-    ms = make_mappings(p)
-    rng = np.random.default_rng(6)
-    x = random_inputs(rng, 4)
-    grid = record_space_time(x, p, ms)
-    features, _ = run_sequence(x, p, ms)
-    assert grid.shape == (4 * 3, p.state_width)
-    assert np.array_equal(grid.reshape(4, -1), features)
+        f, s = run_sequences(batch[i : i + 1], p, ms)
+        assert np.array_equal(features[i], f[0])
+        assert np.array_equal(finals[i], s[0])
 
 
 def test_record_space_time_single_step_equals_evolve():
+    # A sequence's space-time grid is its features as (T*I, R*L_d) rows.
     p = params(rule=30, iterations=3)
     ms = make_mappings(p)
-    x = np.array([[0, 1, 1, 0]], dtype=np.uint8)
-    grid = record_space_time(x, p, ms)
-    expected = evolve(encode_initial(x[0], ms), make_rule(30), 3)
-    assert np.array_equal(grid, expected)
+    x = np.array([[[0, 1, 1, 0]]], dtype=np.uint8)
+    features, _ = run_sequences(x, p, ms)
+    grid = features[0].reshape(-1, p.state_width)
+    assert np.array_equal(grid, naive_evolve(encoded(x[0, 0], ms), 30, 3))
 
 
 def test_figure_scale_grid_dimensions():
     p = params(rule=90, iterations=8, mappings=8, diffuse=40)
     ms = make_mappings(p)
     rng = np.random.default_rng(7)
-    grid = record_space_time(random_inputs(rng, 30), p, ms)
-    assert grid.shape == (240, 320)
+    features, _ = run_sequences(random_inputs(rng, 30), p, ms)
+    assert features[0].reshape(-1, p.state_width).shape == (240, 320)
 
 
 def test_dimension_mismatches_rejected():
     p = params()
     ms = make_mappings(p)
     with pytest.raises(ValueError):
-        run_sequence(np.zeros((3, 5), dtype=np.uint8), p, ms)
+        run_sequences(np.zeros((1, 3, 5), dtype=np.uint8), p, ms)
+    with pytest.raises(ValueError):
+        run_sequences(np.zeros((3, 4), dtype=np.uint8), p, ms)
     wrong = make_mappings(params(mappings=3))
     with pytest.raises(ValueError):
-        run_sequence(np.zeros((3, 4), dtype=np.uint8), p, wrong)
+        run_sequences(np.zeros((1, 3, 4), dtype=np.uint8), p, wrong)
 
 
 def test_params_validation():
@@ -142,9 +140,9 @@ def test_non_binary_or_empty_inputs_rejected():
     p = params()
     ms = make_mappings(p)
     with pytest.raises(ValueError):
-        run_sequence(np.full((3, 4), 2, dtype=np.uint8), p, ms)
+        run_sequences(np.full((1, 3, 4), 2, dtype=np.uint8), p, ms)
     with pytest.raises(ValueError):
-        run_sequence(np.zeros((0, 4), dtype=np.uint8), p, ms)
+        run_sequences(np.zeros((1, 0, 4), dtype=np.uint8), p, ms)
 
 
 def naive_run(x, p, ms):
