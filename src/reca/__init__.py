@@ -9,6 +9,7 @@ from .pipeline import (
     RunResult,
     build_config,
     run_batch,
+    run_batches,
     run_once,
 )
 from .readout import ReadoutModel, binarize, binarize_array, fit, predict
@@ -41,4 +42,5 @@ __all__ = [
     "build_config",
     "run_once",
     "run_batch",
+    "run_batches",
 ]

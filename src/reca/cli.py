@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .ca import complement_rule, lambda_param, make_rule, mirror_rule
-from .pipeline import RunConfig, build_config, run_batch, run_once, space_time_grids
+from .pipeline import RunConfig, build_config, run_batches, run_once, space_time_grids
 from .render import grid_to_ascii, write_pgm
 
 DEFAULT_RULES = [90, 150, 182, 22, 60, 102, 105, 153, 165, 180, 195]
@@ -70,11 +70,20 @@ def _is_int(value) -> bool:
 
 
 def _reject_non_integers(data: dict, where: str) -> None:
-    """Numbers in a config file must be JSON integers: 2.7 or true is not an I."""
+    """Numbers in a config file must be JSON integers: 2.7 or true is not an I.
+
+    ``layered`` must be a JSON boolean and ``out`` a string.
+    """
     for key, value in data.items():
-        if key in ("out", "layered", "layer2"):
+        if key == "layer2":
             continue
-        if key == "rules":
+        if key == "layered":
+            wanted = "true or false"
+            ok = isinstance(value, bool)
+        elif key == "out":
+            wanted = "a string"
+            ok = isinstance(value, str)
+        elif key == "rules":
             wanted = "a list of integers"
             ok = isinstance(value, list) and all(map(_is_int, value))
         elif key == "combos":
@@ -139,6 +148,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_SUCCESS if result.success else EXIT_FAILED_RUN
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (what ``nproc`` prints)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_tables(cfg: dict):
     """Run every (rule, combo) cell of the sweep.
 
@@ -152,26 +168,23 @@ def _sweep_tables(cfg: dict):
     if not rules or not combos:
         raise ConfigError("sweep needs at least one rule and one (I, R) combo")
     n_runs = cfg.get("runs", 100)
+    cells = [(rule, i_, r_) for rule in rules for i_, r_ in combos]
     workers = cfg.get("workers")
-    workers = (os.cpu_count() or 1) if workers is None else workers
+    workers = _usable_cpus() if workers is None else workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, n_runs)
+    workers = min(workers, n_runs * len(cells))
 
-    rates = {}
-    for rule in rules:
-        for iterations, mappings in combos:
-            print(
-                f"sweep: rule {rule} (I,R)=({iterations},{mappings}) "
-                f"x{n_runs} runs",
-                file=sys.stderr,
-            )
-            config = _run_config_from(
-                {**cfg, "rule": rule, "iterations": iterations, "mappings": mappings}
-            )
-            rates[(rule, iterations, mappings)] = run_batch(
-                config, n_runs, workers=workers
-            ).rates
+    configs = [
+        _run_config_from({**cfg, "rule": rule, "iterations": i_, "mappings": r_})
+        for rule, i_, r_ in cells
+    ]
+    print(
+        f"sweep: {len(cells)} cells x{n_runs} runs on {workers} worker(s)",
+        file=sys.stderr,
+    )
+    batches = run_batches(configs, n_runs, workers=workers)
+    rates = {cell: batch.rates for cell, batch in zip(cells, batches)}
 
     meta = {
         "ld": cfg.get("diffuse", 40),

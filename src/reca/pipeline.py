@@ -14,9 +14,11 @@ towards the same targets; the layer-2 evaluation is the deep result.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context, resource_tracker
 
 import numpy as np
 
@@ -209,21 +211,72 @@ def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
     return tuple(ev.success for ev in run_once(config_with_seed(config, seed)).evals)
 
 
+def _map_in_pool(jobs: list, workers: int) -> list:
+    """``_batch_worker`` over ``jobs`` on one pool of spawned workers.
+
+    Each worker runs one BLAS thread: OpenBLAS reads its thread count only
+    when it loads, so the workers are started while the parent's environment
+    holds ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``, and the
+    parent's values are restored before this returns. No process the pool
+    started outlives this call.
+    """
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    # The pool's semaphores start multiprocessing's resource tracker process
+    # if it is not running yet; that one is stopped again below.
+    tracker = resource_tracker._resource_tracker
+    tracker_was_running = tracker._fd is not None
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    try:
+        with pool:
+            try:
+                os.environ.update(dict.fromkeys(names, "1"))
+                # submit() starts the workers, so every one starts in here
+                futures = [pool.submit(_batch_worker, job) for job in jobs]
+            finally:
+                for name, value in saved.items():
+                    if value is None:
+                        os.environ.pop(name, None)
+                    else:
+                        os.environ[name] = value
+            return [future.result() for future in futures]
+    finally:
+        del pool  # frees the pool's semaphores, which unregisters them
+        if not tracker_was_running:
+            tracker._stop()
+
+
+def run_batches(
+    configs: list[RunConfig], n_runs: int, workers: int = 1
+) -> list[BatchResult]:
+    """``n_runs`` runs of each config, seeds run_seed, run_seed+1, ...
+
+    Every run of every config is one job on one pool of ``workers``
+    processes, each with one BLAS thread; ``workers=1`` runs them in this
+    process. Results are keyed by (config, run index), so the outcome is
+    independent of worker scheduling.
+    """
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    jobs = [(config, config.run_seed + i) for config in configs for i in range(n_runs)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        outcomes = _map_in_pool(jobs, workers)
+    else:
+        outcomes = [_batch_worker(job) for job in jobs]
+    return [
+        BatchResult(tuple(list(layer) for layer in zip(*outcomes[lo : lo + n_runs])))
+        for lo in range(0, len(jobs), n_runs)
+    ]
+
+
 def run_batch(config: RunConfig, n_runs: int, workers: int = 1) -> BatchResult:
     """Execute ``n_runs`` runs with seeds run_seed, run_seed+1, ...
 
     Results are keyed by run index, so the outcome is independent of worker
     scheduling.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    jobs = [(config, config.run_seed + i) for i in range(n_runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_batch_worker, jobs, chunksize=1))
-    else:
-        outcomes = [_batch_worker(job) for job in jobs]
-    return BatchResult(tuple(list(layer) for layer in zip(*outcomes)))
+    return run_batches([config], n_runs, workers)[0]
 
 
 def space_time_grids(config: RunConfig, pattern_id: int = 0) -> list[np.ndarray]:
@@ -240,7 +293,8 @@ def space_time_grids(config: RunConfig, pattern_id: int = 0) -> list[np.ndarray]
     grids = []
     for k, params in enumerate(config.layers, start=1):
         features, _ = run_sequences(inputs, params, make_mappings(params))
-        grids.append(features[pattern_id].reshape(-1, params.state_width))
+        # a copy, so that a grid does not keep its layer's features alive
+        grids.append(features[pattern_id].reshape(-1, params.state_width).copy())
         if k < len(config.layers):
             inputs, _ = _fit_readout(features, targets)
     return grids

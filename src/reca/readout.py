@@ -7,7 +7,9 @@ common rank-deficient case, e.g. constant CA columns, stays solvable while
 well-conditioned solutions are perturbed far below test tolerances.
 
 Both ``fit`` and ``predict`` stream the design matrix in row blocks, so
-neither ever holds a float copy of all of it.
+neither ever holds a float copy of all of it. Every BLAS and LAPACK call goes
+through scipy: numpy's ``@`` would run in numpy's own OpenBLAS copy, and two
+OpenBLAS thread pools in one process spin against each other for the cores.
 """
 
 from __future__ import annotations
@@ -102,8 +104,10 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
 
     Rows are converted to float64 in blocks of about
     ``BLOCK_ELEMENTS`` values (4 MB), so the float copy of a large
-    design matrix never exists whole; the result is bit-identical to
-    ``features.astype(float64) @ weights[:-1] + weights[-1]``.
+    design matrix never exists whole. With two or more rows and outputs the
+    result is bit-identical to
+    ``features.astype(float64) @ weights[:-1] + weights[-1]`` (with one,
+    numpy's ``@`` switches to a matrix-vector product).
     """
     x = np.asarray(features)
     if x.ndim == 1:
@@ -123,14 +127,24 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
     # The last block takes the remainder, so no block is much smaller than
     # ``rows``: OpenBLAS sends small products to a kernel that sums in a
     # different order, and a short tail would not match the one-shot product.
-    n_blocks = max(1, n // rows)
+    n_blocks = min(n, max(1, n // rows))
     out = np.empty((n, model.output_width), dtype=np.float64)
     block = np.empty((n - (n_blocks - 1) * rows, p), dtype=np.float64)  # the largest
+    # out_b.T = w.T @ block_b.T in column-major order: the dgemm that numpy's
+    # ``block_b @ w`` makes. The transpose flag follows w's layout as numpy's
+    # does, because OpenBLAS also picks its small-product kernel by that flag.
+    w = model.weights[:-1]
+    if w.strides[1] == w.itemsize:
+        a, trans_a = w.T, 0
+    else:
+        a, trans_a = np.asfortranarray(w), 1
     for i in range(n_blocks):
         lo = i * rows
         hi = n if i == n_blocks - 1 else lo + rows
         np.copyto(block[: hi - lo], x[lo:hi])
-        np.matmul(block[: hi - lo], model.weights[:-1], out=out[lo:hi])
+        scipy.linalg.blas.dgemm(
+            1.0, a, block[: hi - lo].T, c=out[lo:hi].T, trans_a=trans_a, overwrite_c=1
+        )
     out += model.weights[-1]
     return out[0] if squeeze else out
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -62,7 +63,7 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, monkeypatch, capsys, com
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran with an unknown config key")
 
-    for name in ("run_once", "run_batch", "space_time_grids"):
+    for name in ("run_once", "run_batches", "space_time_grids"):
         monkeypatch.setattr(reca.cli, name, must_not_run)
     path = write_config(tmp_path / "cfg.json", **cfg)
     assert main([command, "--config", path]) == 2
@@ -83,6 +84,8 @@ def test_layer2_config_must_be_an_object(tmp_path, capsys):
         ({"rule": 90, "layer2": {"iterations": 2.5}}, "iterations"),
         ({"rule": 90, "iterations": True}, "iterations"),
         ({"rules": [90], "combos": [[2, 4.0]]}, "combos"),
+        ({"rule": 90, "layered": "false"}, "layered"),
+        ({"rule": 90, "out": 5}, "out"),
     ],
 )
 def test_non_integer_config_values_are_usage_errors(
@@ -91,7 +94,7 @@ def test_non_integer_config_values_are_usage_errors(
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran with a non-integer config value")
 
-    for name in ("run_once", "run_batch", "space_time_grids"):
+    for name in ("run_once", "run_batches", "space_time_grids"):
         monkeypatch.setattr(reca.cli, name, must_not_run)
     path = write_config(tmp_path / "cfg.json", **cfg)
     assert main([command, "--config", path]) == 2
@@ -167,24 +170,29 @@ GOLDEN_SWEEP = Path(__file__).with_name("golden_sweep.csv")
 
 def test_sweep_matches_golden_csv(tmp_path):
     # 11 default rules x (2,4),(4,4), layered, T_d=50, seed 7: any verdict
-    # that moves changes a cell of this file.
+    # that moves changes a cell of this file. In-process, on a pool of two
+    # and at the default worker count.
     cfg = write_config(tmp_path / "golden.json", combos=[[2, 4], [4, 4]], runs=2,
                        distractor=50, seed=7)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", cfg, "--layered", "--no-timestamp",
-                 "--workers", "1", "--out", str(out)]) == 0
-    assert out.read_text() == GOLDEN_SWEEP.read_text()
+    for workers in (["--workers", "1"], ["--workers", "2"], []):
+        assert main(["sweep", "--config", cfg, "--layered", "--no-timestamp",
+                     "--out", str(out)] + workers) == 0
+        assert out.read_text() == GOLDEN_SWEEP.read_text(), workers
 
 
 @pytest.mark.parametrize("layered", [False, True])
 def test_sweep_applies_layer2_block(tmp_path, monkeypatch, layered):
     configs = []
 
-    def recording_batch(config, n_runs, workers=1):
-        configs.append(config)
-        return reca.pipeline.BatchResult(tuple([True] * n_runs for _ in config.layers))
+    def recording_batches(cell_configs, n_runs, workers=1):
+        configs.extend(cell_configs)
+        return [
+            reca.pipeline.BatchResult(tuple([True] * n_runs for _ in config.layers))
+            for config in cell_configs
+        ]
 
-    monkeypatch.setattr(reca.cli, "run_batch", recording_batch)
+    monkeypatch.setattr(reca.cli, "run_batches", recording_batches)
     layer2 = {"rule": 180, "iterations": 1, "mappings": 1, "diffuse": 4}
     cfg = write_config(tmp_path / "sweep.json", rules=[90, 165], combos=[[2, 4]],
                        runs=2, layered=layered, layer2=layer2)
@@ -203,26 +211,55 @@ def test_sweep_applies_layer2_block(tmp_path, monkeypatch, layered):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_workers_below_one(monkeypatch, capsys, workers):
     calls = []
-    monkeypatch.setattr(reca.cli, "run_batch", lambda *a, **k: calls.append(k))
+    monkeypatch.setattr(reca.cli, "run_batches", lambda *a, **k: calls.append(k))
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--runs", "2", "--workers", workers]) == 2
     assert "workers" in capsys.readouterr().err
     assert calls == []
 
 
-def test_sweep_clamps_workers_to_run_count(monkeypatch, capsys):
-    seen = []
+def recording_workers(seen):
+    """A ``run_batches`` stub that records its worker count; every run succeeds."""
 
-    def fake_batch(config, n_runs, workers=1):
+    def fake_batches(configs, n_runs, workers=1):
         seen.append(workers)
-        return reca.pipeline.BatchResult(([True] * n_runs,))
+        return [reca.pipeline.BatchResult(([True] * n_runs,)) for _ in configs]
 
-    monkeypatch.setattr(reca.cli, "run_batch", fake_batch)
+    return fake_batches
+
+
+def test_sweep_clamps_workers_to_run_count(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--runs", "3", "--workers", "64", "--no-timestamp"]) == 0
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--runs", "3", "--workers", "2", "--no-timestamp"]) == 0
-    assert seen == [3, 2]
+    # 2 rules x 1 combo x 2 runs: 4 jobs on one pool
+    cfg = write_config(tmp_path / "sweep.json", rules=[90, 150], combos=[[2, 2]], runs=2)
+    assert main(["sweep", "--config", cfg, "--workers", "64", "--no-timestamp"]) == 0
+    assert seen == [3, 2, 4]
+
+
+def test_sweep_default_workers_are_the_usable_cpus(monkeypatch):
+    seen = []
+    monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--runs", "8", "--no-timestamp"]) == 0
+    assert seen == [3]
+
+
+def test_sweep_on_one_usable_cpu_runs_in_process(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a worker pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(reca.pipeline, "ProcessPoolExecutor", no_pool)
+    assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--distractor", "20", "--runs", "2", "--no-timestamp"]) == 0
+    assert "on 1 worker" in capsys.readouterr().err
 
 
 def test_failed_fit_exits_1_not_usage(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import importlib
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from reca.memory_task import all_patterns, evaluate
 from reca.pipeline import (
     LAYER2_SEED_OFFSET,
+    RunConfig,
     build_config,
     config_with_seed,
     run_batch,
@@ -111,6 +114,39 @@ def test_run_batch_parallel_matches_serial():
     assert serial.successes == parallel.successes
 
 
+class OneBlasThreadConfig(RunConfig):
+    """A config whose run fails unless its process was started with one BLAS thread."""
+
+    @property
+    def layers(self):
+        seen = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if seen != {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}:
+            raise RuntimeError(f"worker environment: {seen}")
+        return super().layers
+
+
+def child_pids():
+    """Live children of this process, where Linux lists them (else empty)."""
+    return {
+        pid
+        for path in Path("/proc/self/task").glob("*/children")
+        for pid in path.read_text().split()
+    }
+
+
+def test_run_batch_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    children = child_pids()
+    config = build_config(rule=90, iterations=2, mappings=2, **FAST)
+    config = OneBlasThreadConfig(config.layer1, config.layer2, config.distractor, config.run_seed)
+    batch = run_batch(config, 2, workers=2)
+    assert batch.n_runs == 2
+    assert dict(os.environ) == before
+    assert child_pids() <= children  # the workers and the resource tracker are gone
+
+
 def test_trainable_parameter_count_matches_feature_size():
     config = build_config(rule=90, iterations=8, mappings=8, diffuse=40,
                           distractor=20, seed=0)
@@ -124,6 +160,7 @@ def test_space_time_grids_shapes():
     assert len(grids) == 2
     assert grids[0].shape == (30 * 8, 320)
     assert grids[1].shape == (30 * 8, 320)
+    assert all(grid.base is None for grid in grids)  # no grid pins its layer's features
 
 
 def test_space_time_grid_matches_reservoir_record():

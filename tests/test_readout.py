@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,3 +192,49 @@ def test_binarize_is_monotone():
 def test_binarize_array_matches_scalar():
     values = np.array([-1.0, 0.0, 0.499, 0.5, 0.75, 2.0])
     assert binarize_array(values).tolist() == [binarize(v) for v in values]
+
+
+NUMPY_BLAS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "reca"
+
+
+def numpy_blas_uses(tree):
+    """``@``, ``np.<NUMPY_BLAS>`` and ``np.linalg.*`` nodes, except ``np.linalg.LinAlgError``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node, "@"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and node.attr in NUMPY_BLAS | {"linalg"}:
+                yield node, f"np.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            for alias in node.names:
+                if node.module == "numpy.linalg" or alias.name in NUMPY_BLAS | {"linalg"}:
+                    yield node, f"from {node.module} import {alias.name}"
+
+
+def test_numpy_blas_uses_finds_every_form():
+    source = (
+        "a @ b\na @= b\nnp.dot(a, b)\nnumpy.matmul(a, b)\nnp.einsum('ij', a)\n"
+        "np.linalg.solve(a, b)\nfrom numpy import inner\nfrom numpy.linalg import norm\n"
+    )
+    assert len(list(numpy_blas_uses(ast.parse(source)))) == 8
+
+
+def test_src_makes_no_numpy_blas_call():
+    # numpy and scipy each load their own OpenBLAS; one process that calls
+    # both runs two thread pools that contend for the cores. All BLAS and
+    # LAPACK work goes through scipy.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node.value)  # the ``np.linalg`` inside ``np.linalg.LinAlgError``
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "LinAlgError"
+        }
+        for node, what in numpy_blas_uses(tree):
+            if id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}: {what}")
+    assert found == []
