@@ -13,7 +13,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .ca import complement_rule, lambda_param, make_rule, mirror_rule
-from .pipeline import RunConfig, build_config, run_batches, run_once, space_time_grids
+from .pipeline import (
+    RunConfig,
+    build_config,
+    run_batches,
+    run_bytes,
+    run_once,
+    space_time_grids,
+)
 from .render import grid_to_ascii, write_pgm
 
 DEFAULT_RULES = [90, 150, 182, 22, 60, 102, 105, 153, 165, 180, 195]
@@ -137,8 +144,38 @@ def _run_config_from(cfg: dict) -> RunConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
+def _available_bytes() -> int | None:
+    """``MemAvailable`` from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(configs: list[RunConfig], workers: int) -> None:
+    """Refuse to start runs that cannot fit in the available memory.
+
+    Each of ``workers`` concurrent runs is taken to need as much as the
+    largest of ``configs``.
+    """
+    available = _available_bytes()
+    if available is None:
+        return
+    needed = workers * max(run_bytes(config) for config in configs)
+    if needed > available:
+        raise ConfigError(
+            f"not enough memory: {workers} run(s) at once need about "
+            f"{needed / 1e6:.0f} MB, and {available / 1e6:.0f} MB is available"
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config_from(_merged(args, {}))
+    _check_memory([config], 1)
     result = run_once(config)
     for layer, ev in enumerate(result.evals, start=1):
         print(
@@ -173,12 +210,14 @@ def _sweep_tables(cfg: dict):
     workers = _usable_cpus() if workers is None else workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, n_runs * len(cells))
+    # more workers than cores only add interpreter starts and contention
+    workers = min(workers, n_runs * len(cells), _usable_cpus())
 
     configs = [
         _run_config_from({**cfg, "rule": rule, "iterations": i_, "mappings": r_})
         for rule, i_, r_ in cells
     ]
+    _check_memory(configs, workers)
     print(
         f"sweep: {len(cells)} cells x{n_runs} runs on {workers} worker(s)",
         file=sys.stderr,
@@ -236,6 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     config = _run_config_from(_merged(args, {}))
+    _check_memory([config], 1)
     grids = space_time_grids(config, pattern_id=args.pattern)
     base = args.out or "spacetime"
     for layer, grid in enumerate(grids, start=1):

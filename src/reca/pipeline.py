@@ -24,12 +24,14 @@ import numpy as np
 
 from .memory_task import (
     INPUT_WIDTH,
+    MESSAGE_LEN,
+    N_PATTERNS,
     OUTPUT_WIDTH,
     EvaluationResult,
     all_patterns,
     evaluate,
 )
-from .readout import binarize_array, fit, predict
+from .readout import binarize_array, fit, predict, working_bytes
 from .reservoir import ReservoirParams, make_mappings, run_sequences
 
 # Fixed offset separating the layer-2 mapping seed from the layer-1 seed,
@@ -143,6 +145,19 @@ def config_with_seed(config: RunConfig, seed: int) -> RunConfig:
         for k, params in enumerate(config.layers)
     }
     return replace(config, run_seed=seed, **layers)
+
+
+def run_bytes(config: RunConfig) -> int:
+    """Peak bytes one run of ``config`` holds, from the shapes alone.
+
+    Its largest layer's uint8 features (32 * T * I * R * L_d bytes) plus
+    what that layer's readout holds beside them.
+    """
+    n_rows = N_PATTERNS * (config.distractor + 2 * MESSAGE_LEN)
+    return max(
+        n_rows * params.feature_length + working_bytes(params.feature_length)
+        for params in config.layers
+    )
 
 
 def _task_arrays(config: RunConfig):

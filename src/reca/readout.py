@@ -14,6 +14,7 @@ OpenBLAS thread pools in one process spin against each other for the cores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ import scipy.linalg
 RIDGE_SCALE = 1e-8
 BLOCK_ELEMENTS = 2**19  # values converted to float per fit or predict block
 MAX_FIT_ROWS = 2**24  # float32 counts are exact below this
+SKIP_FRACTION = 16  # skip repeated rows only if at least 1/16 of all rows can go
+CHUNK_BYTES = 2**20  # feature bytes hashed at a time
+PREFIX_FEATURES = 64  # features of each row hashed first, to bound its repeats
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,17 +47,25 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
     """Least-squares fit of an affine map from feature rows to target rows.
 
     Args:
-        features: (N, p) binary matrix.
-        targets: (N, k) binary matrix.
+        features: (N, p) matrix of 0s and 1s.
+        targets: (N, k) matrix of 0s and 1s.
         ridge: relative ridge strength added to the normal-equation diagonal.
 
-    Row blocks of about ``BLOCK_ELEMENTS`` values are copied into one reused
-    float32 buffer laid out as ``[X_b 1 Y_b]``, and one ``ssyrk`` per block
-    adds its Gram matrix to the upper triangle of the Gram of ``[X 1 Y]``:
-    X^T X, the column sums, N and X^T Y. With 0/1 entries each is an integer
-    count <= N, exact in float32 for N < 2^24, so the blocking does not move
-    the result. Memory beside the design is O((p + k)^2). The solve is
-    float64.
+    The normal equations come from the Gram matrix of ``[X 1 Y]``: X^T X, the
+    column sums, N and X^T Y. With 0/1 entries each is an integer count
+    <= N, exact in float32 for N < 2^24, so neither the order of the sum nor
+    the integer row weights below can move the result.
+
+    When at least 1/``SKIP_FRACTION`` of the rows can go, a group of c > 4
+    identical rows of ``[X Y]`` is fed as at most four of its members,
+    scaled by integers whose squares sum to c (Lagrange's four-square
+    theorem), and the others are skipped. The fed rows are copied in blocks
+    of about ``BLOCK_ELEMENTS`` values into the head of one buffer, and one
+    ``ssyrk`` per block adds their Gram matrix to the upper triangle of the
+    float32 Gram at its tail. The head then becomes the float64 normal
+    matrix, and the Gram is widened into it in place, so the fit holds
+    about max(8 (p + 1)^2, 4 m (m + block rows)) bytes beside its inputs,
+    m = p + 1 + k, and one block more while it widens. The solve is float64.
     """
     x = np.asarray(features)
     y = np.asarray(targets)
@@ -68,35 +80,212 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
             f"{x.shape[0]} rows: the float32 Gram counts are exact only "
             f"below {MAX_FIT_ROWS} rows"
         )
+    x = _as_bits(x, "features")
+    y = _as_bits(y, "targets")
+    if y.max(initial=0) > 1:
+        raise ValueError("targets must hold only 0s and 1s")
 
-    n, p = x.shape
-    m = p + 1 + y.shape[1]
-    rows = min(n, max(1, BLOCK_ELEMENTS // m))
-    buf = np.empty((rows, m), dtype=np.float32)
-    buf[:, p] = 1.0
-    gram = np.zeros((m, m), dtype=np.float32, order="F")
-    for lo in range(0, n, rows):
-        # C-ordered, so ``block.T`` is F-ordered and ssyrk reads it uncopied
-        block = buf[: min(rows, n - lo)]
-        np.copyto(block[:, :p], x[lo : lo + rows], casting="unsafe")
-        np.copyto(block[:, p + 1 :], y[lo : lo + rows], casting="unsafe")
-        # block.T @ block, upper triangle only, added to ``gram`` in place
-        gram = scipy.linalg.blas.ssyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
-    del buf
+    p, k = x.shape[1], y.shape[1]
+    q = p + 1  # columns of [X 1]
+    m = q + k
+    rows, scales = _row_scales(x, y)
 
-    # Only the upper triangle of ``a`` is ever read (cho_factor(lower=False)),
-    # so the Gram matrix is not mirrored. ``a`` is F-ordered like ``gram``, so
-    # the copy below is not transposed and the factor is in place.
-    a = np.array(gram[: p + 1, : p + 1], dtype=np.float64, order="F")
-    b = np.array(gram[: p + 1, p + 1 :], dtype=np.float64)
+    # One buffer holds all the fit's working memory. The F-ordered float32
+    # Gram of [X 1 Y] sits at its tail, from byte t on, and the row blocks
+    # are copied into its head, which later becomes the F-ordered float64
+    # normal matrix ``a``. Column j of ``a`` ends at byte 8q(j + 1), and
+    # Gram column j + 1 starts at byte t + 4m(j + 1); t >= 4(q - k)(q - 1)
+    # keeps the first at or below the second for every j + 1 < q, so
+    # widening the columns from the left never overwrites one still unread.
+    block_rows = min(x.shape[0] if rows is None else len(rows), max(1, BLOCK_ELEMENTS // m))
+    size = max(8 * q * q, 4 * m * m + 4 * max(q - k, 0) * (q - 1), 4 * m * (m + block_rows))
+    buffer = np.zeros(-(-size // 8), dtype=np.float64)
+    gram = buffer.view(np.float32)[-m * m :].reshape(m, m, order="F")
+    block_buffer = buffer.view(np.float32)[: block_rows * m].reshape(block_rows, m)
+    gram = _add_gram(gram, block_buffer, x, y, rows, scales)
+    del block_buffer
+    a = buffer[: q * q].reshape(q, q, order="F")
+    b = np.array(gram[:q, q:], dtype=np.float64, order="F")
+    step = max(1, BLOCK_ELEMENTS // q)
+    for j in range(0, q, step):
+        columns = slice(j, min(j + step, q))
+        # These columns of ``a`` overlap their own source. numpy would buffer
+        # the overlap itself, but in float64; the float32 copy is half that.
+        a[:, columns] = gram[:q, columns].copy(order="F")
     del gram
 
-    alpha = ridge * np.trace(a) / (p + 1)
+    # Only the upper triangle of ``a`` is ever read (cho_factor(lower=False)),
+    # so the Gram matrix is not mirrored, and the factor is in place.
+    alpha = ridge * np.trace(a) / q
     a[np.diag_indices_from(a)] += alpha
 
     cho = scipy.linalg.cho_factor(a, lower=False, overwrite_a=True, check_finite=False)
     weights = scipy.linalg.cho_solve(cho, b, check_finite=False)
     return ReadoutModel(weights)
+
+
+def _add_gram(gram: np.ndarray, buf: np.ndarray, x: np.ndarray, y: np.ndarray,
+              rows: np.ndarray | None, scales: np.ndarray | None) -> np.ndarray:
+    """Add the Gram matrix of the scaled rows ``[X 1 Y][rows]`` to ``gram``'s upper triangle.
+
+    ``rows`` None means every row, in order and unscaled. One ``ssyrk`` per
+    block of ``len(buf)`` rows, each copied into the C-ordered float32
+    ``buf``; returns the updated ``gram``. A feature value other than 0 or 1
+    is a ValueError. Only the fed rows are checked: every row that
+    ``_row_scales`` skips is byte-identical to a fed one.
+    """
+    p = x.shape[1]
+    n = x.shape[0] if rows is None else len(rows)
+    buf[:, p] = 1.0
+    for lo in range(0, n, len(buf)):
+        hi = min(lo + len(buf), n)
+        index = slice(lo, hi) if rows is None else rows[lo:hi]
+        # C-ordered, so ``block.T`` is F-ordered and ssyrk reads it uncopied
+        block = buf[: hi - lo]
+        source = x[index]
+        np.copyto(block[:, :p], source, casting="unsafe")
+        if source.max(initial=0) > 1:  # the copy brought ``source`` into cache
+            raise ValueError("features must hold only 0s and 1s")
+        np.copyto(block[:, p + 1 :], y[index], casting="unsafe")
+        if scales is not None:
+            block *= scales[lo:hi, None]
+        # block.T @ block, upper triangle only, added to ``gram`` in place
+        gram = scipy.linalg.blas.ssyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
+        if scales is not None:
+            block[:, p] = 1.0
+    return gram
+
+
+def _as_bits(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as uint8; a ValueError unless every value is 0 or 1.
+
+    uint8 input is returned unchecked, for ``fit`` checks it where it reads
+    it anyway.
+    """
+    if values.dtype == np.bool_:
+        return values.view(np.uint8)
+    if values.dtype != np.uint8 and not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{name} must hold only 0s and 1s")
+    return values.astype(np.uint8, copy=False)
+
+
+def _row_scales(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The rows of ``[X Y]`` to feed, ascending, and their integer scales as float32.
+
+    Identical rows are found by sorting a hash of the rows; rows next to
+    each other in that order with equal hashes are compared byte for byte,
+    so a hash collision can only leave a group split, never join rows that
+    differ. A group of c > 4 identical rows is fed as at most four of its
+    members, scaled by integers whose squares sum to c, and its other
+    members are skipped, so the weighted Gram matrix is the full one. Other
+    rows keep scale 1. If fewer than 1/``SKIP_FRACTION`` of the rows would
+    be skipped, every row is fed as it is, and both are None: feeding rows
+    out of order costs a gather per block, more than a few skipped rows save.
+    """
+    n = x.shape[0]
+    feed_all = None, None
+    # Identical rows share a bucket of even a hash of their first
+    # PREFIX_FEATURES features, so the buckets bound the rows that can go
+    # from above, for a read of one cache line a row and no sort. Only a
+    # design that may pass the threshold has its whole rows hashed.
+    bits = (2 * n).bit_length()  # about two buckets a row, by a hash's top bits
+    prefix_keys = _row_keys(x[:, :PREFIX_FEATURES], y) >> np.uint64(64 - bits)
+    buckets = np.bincount(prefix_keys.astype(np.intp), minlength=1 << bits)
+    if (buckets[buckets > 4] - 1).sum() < n // SKIP_FRACTION:
+        return feed_all
+
+    keys = _row_keys(x, y)
+    order = np.argsort(keys)
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]  # same[i]: sorted rows i and i + 1 are one row
+    del keys
+    pairs = np.flatnonzero(same)
+    chunk = max(1, BLOCK_ELEMENTS // (x.shape[1] + y.shape[1]))
+    for lo in range(0, len(pairs), chunk):
+        pair = pairs[lo : lo + chunk]
+        first, second = order[pair], order[pair + 1]
+        same[pair] = (x[first] == x[second]).all(axis=1) & (y[first] == y[second]).all(axis=1)
+
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(starts, append=n)
+    scale = np.ones(n, dtype=np.float32)  # by sorted position
+    for count in np.unique(counts[counts > 4]).tolist():
+        terms = np.zeros(count, dtype=np.float32)
+        squares = _square_terms(count)
+        terms[: len(squares)] = squares
+        scale[starts[counts == count][:, None] + np.arange(count)] = terms
+    scale_at = np.empty(n, dtype=np.float32)
+    scale_at[order] = scale
+    rows = np.flatnonzero(scale_at)
+    if n - len(rows) < n // SKIP_FRACTION:
+        return feed_all
+    return rows, scale_at[rows]
+
+
+def _row_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of ``[X Y]``.
+
+    The row of X is read as 64-bit words of 8 values (zero-padded to whole
+    words), and its words and the values of Y are multiplied by fixed odd
+    numbers and summed. An integer ``vecdot`` runs numpy's own loop, not
+    BLAS. X is read in chunks of about ``CHUNK_BYTES``, so a padded copy
+    stays small.
+    """
+    n, p = x.shape
+    width = -(-p // 8) * 8
+    odd = np.frombuffer(np.random.default_rng(0).bytes(width + 8 * y.shape[1]),
+                        dtype=np.uint64) | np.uint64(1)
+    keys = np.empty(n, dtype=np.uint64)
+    chunk = max(1, CHUNK_BYTES // max(1, width))
+    for lo in range(0, n, chunk):
+        part = x[lo : lo + chunk]
+        if width != p or part.strides[1] != 1:
+            part = np.pad(part, ((0, 0), (0, width - p)))
+        np.vecdot(part.view(np.uint64), odd[: width // 8], out=keys[lo : lo + chunk])
+    for j in range(y.shape[1]):
+        keys += y[:, j] * odd[width // 8 + j]
+    return keys
+
+
+def _square_terms(count: int) -> list[int]:
+    """The fewest positive integers whose squares sum to ``count`` >= 1.
+
+    Four always suffice (Lagrange's four-square theorem).
+    """
+    if _needs_four_squares(count):
+        return _squares(count, 4)
+    return _squares(count, 1) or _squares(count, 2) or _squares(count, 3)
+
+
+def _squares(count: int, n_terms: int) -> list[int] | None:
+    """``n_terms`` positive integers, largest first, whose squares sum to ``count``."""
+    root = math.isqrt(count)
+    if n_terms == 1:
+        return [root] if root * root == count else None
+    if n_terms == 3 and _needs_four_squares(count):
+        return None
+    for first in range(root, 0, -1):
+        rest = count - first * first
+        terms = _squares(rest, n_terms - 1) if rest else None
+        if terms:
+            return [first, *terms]
+    return None
+
+
+def _needs_four_squares(count: int) -> bool:
+    """Whether ``count`` is 4^a (8b + 7), no sum of three squares (Legendre)."""
+    while count % 4 == 0:
+        count //= 4
+    return count % 8 == 7
+
+
+def working_bytes(feature_length: int) -> int:
+    """Bytes ``fit`` and ``predict`` hold beside the design, from its width.
+
+    The float64 normal matrix, 8 (p + 1)^2, and the row blocks: ``fit``'s
+    float32 one and ``predict``'s float64 one.
+    """
+    return 8 * (feature_length + 1) ** 2 + 12 * BLOCK_ELEMENTS
 
 
 def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:

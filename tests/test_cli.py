@@ -231,6 +231,7 @@ def recording_workers(seen):
 def test_sweep_clamps_workers_to_run_count(tmp_path, monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--runs", "3", "--workers", "64", "--no-timestamp"]) == 0
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
@@ -249,6 +250,61 @@ def test_sweep_default_workers_are_the_usable_cpus(monkeypatch):
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--runs", "8", "--no-timestamp"]) == 0
     assert seen == [3]
+
+
+def test_sweep_clamps_workers_to_usable_cpus(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
+                 "--runs", "8", "--workers", "64", "--no-timestamp"]) == 0
+    assert seen == [2]
+    assert "on 2 worker(s)" in capsys.readouterr().err
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize(
+    "command,stub",
+    [(["run"], "run_once"), (["sweep", "--runs", "2", "--workers", "1"], "run_batches"),
+     (["render"], "space_time_grids")],
+)
+def test_runs_that_do_not_fit_in_memory_are_usage_errors(
+    tmp_path, monkeypatch, capsys, command, stub
+):
+    monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 50 * 10**6)
+    monkeypatch.setattr(reca.cli, stub, refuse_to_run)
+    argv = [*command, "--rule", "90", "--iterations", "8", "--mappings", "8",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not enough memory" in err
+    assert "76 MB" in err and "50 MB is available" in err
+
+
+def test_sweep_memory_need_counts_every_worker(monkeypatch, capsys):
+    # One (4,4) run needs about 14 MB: one worker fits in 20 MB, two do not.
+    monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 20 * 10**6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+    monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
+    argv = ["sweep", "--rule", "90", "--iterations", "4", "--mappings", "4",
+            "--runs", "2", "--no-timestamp"]
+    assert main([*argv, "--workers", "1"]) == 0
+    assert main([*argv, "--workers", "2"]) == 2
+    assert seen == [1]
+    assert "2 run(s) at once" in capsys.readouterr().err
+
+
+def test_memory_check_is_skipped_where_availability_is_unknown(monkeypatch):
+    monkeypatch.setattr(reca.cli, "_available_bytes", lambda: None)
+    seen = []
+    monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
+    assert main(["sweep", "--rule", "90", "--iterations", "8", "--mappings", "8",
+                 "--distractor", "100000", "--runs", "1", "--no-timestamp"]) == 0
+    assert seen == [1]
 
 
 def test_sweep_on_one_usable_cpu_runs_in_process(monkeypatch, capsys):

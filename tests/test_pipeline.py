@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 
+import reca.pipeline
 from reca.memory_task import all_patterns, evaluate
 from reca.pipeline import (
     LAYER2_SEED_OFFSET,
@@ -230,3 +232,28 @@ def test_run_once_calls_each_layer_phase_once_per_layer(monkeypatch, layered):
     assert evaluation.correct_bits == result.layer1_eval.correct_bits
     if layered:  # layer 2 reads layer 1's binarized predictions
         assert np.array_equal(inputs[1], first_bits.reshape(len(tasks), -1, 3))
+
+
+def test_layer2_fit_skips_repeated_rows(monkeypatch):
+    # Before the cue all 32 sequences see the same waiting signal, so layer
+    # 2's design is mostly repeated rows; its fit must not stream them all.
+    fed = []  # rows streamed through ssyrk, one entry per fit
+    ssyrk = scipy.linalg.blas.ssyrk
+    fit = reca.pipeline.fit
+
+    def counting_ssyrk(alpha, a, *args, **kwargs):
+        fed[-1] += a.shape[1]
+        return ssyrk(alpha, a, *args, **kwargs)
+
+    def counting_fit(x, y, *args, **kwargs):
+        fed.append(0)
+        return fit(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "ssyrk", counting_ssyrk)
+    monkeypatch.setattr(reca.pipeline, "fit", counting_fit)
+    config = build_config(rule=90, iterations=4, mappings=4, diffuse=40,
+                          distractor=200, seed=1, layer2_rule=90)
+    run_once(config)
+    n_rows = 32 * 210
+    assert fed[0] == n_rows  # layer 1 has too few repeats to skip any
+    assert 0 < fed[1] <= n_rows // 10

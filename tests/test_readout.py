@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reca import readout
 from reca.readout import (
     BLOCK_ELEMENTS,
     MAX_FIT_ROWS,
@@ -101,6 +104,94 @@ def test_fit_accepts_bool_and_float_inputs():
     weights = fit(x, y).weights
     assert np.array_equal(fit(x.astype(bool), y.astype(np.int64)).weights, weights)
     assert np.array_equal(fit(x.astype(np.float64), y.astype(np.float32)).weights, weights)
+
+
+BITS = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+BIT_TARGETS = np.array([[1], [0]], dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "features,targets",
+    [
+        (np.array([[0, 2], [1, 0]], dtype=np.uint8), BIT_TARGETS),
+        (np.array([[0, 0.5], [1, 0]]), BIT_TARGETS),
+        (BITS, np.array([[2], [0]], dtype=np.uint8)),
+        (BITS, np.array([[0.5], [0]])),
+    ],
+)
+def test_fit_rejects_non_binary_values(features, targets):
+    with pytest.raises(ValueError, match="only 0s and 1s"):
+        fit(features, targets)
+
+
+def repeated_design(rng, p, k, distinct, n, singles):
+    """``distinct`` random rows repeated to ``n`` rows, plus ``singles`` more, shuffled."""
+    base = rng.integers(0, 2, size=(distinct, p + k), dtype=np.uint8)
+    counts = 1 + rng.multinomial(n - distinct, np.ones(distinct) / distinct)
+    rows = np.vstack([np.repeat(base, counts, axis=0),
+                      rng.integers(0, 2, size=(singles, p + k), dtype=np.uint8)])
+    rows = rows[rng.permutation(len(rows))]
+    return np.ascontiguousarray(rows[:, :p]), np.ascontiguousarray(rows[:, p:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 70),
+    k=st.integers(1, 3),
+    distinct=st.integers(1, 6),
+    blocks=st.sampled_from([0, 1, 2]),
+    with_singles=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_of_repeated_rows_equals_exact_integer_oracle(
+    p, k, distinct, blocks, with_singles, seed
+):
+    # N in the first, second or third row block; with singles, the fed rows
+    # span more than one block too and mix skipped, scaled and plain rows.
+    rng = np.random.default_rng(seed)
+    block_rows = BLOCK_ELEMENTS // (p + 1 + k)
+    n = max(distinct, blocks * block_rows + int(rng.integers(1, block_rows)))
+    singles = block_rows + 7 if with_singles else 0
+    x, y = repeated_design(rng, p, k, distinct, n, singles)
+    assert np.array_equal(fit(x, y).weights, exact_integer_fit(x, y))
+
+
+def test_fit_stays_exact_when_every_row_hash_collides(monkeypatch):
+    # Only the byte check keeps rows with one hash but different bits apart.
+    rng = np.random.default_rng(12)
+    x, y = repeated_design(rng, 37, 3, 5, 4000, 300)
+    row_keys = readout._row_keys
+    monkeypatch.setattr(readout, "_row_keys", lambda x, y: row_keys(x, y) & np.uint64(1))
+    assert np.array_equal(fit(x, y).weights, exact_integer_fit(x, y))
+
+
+def test_square_terms_sum_to_the_count():
+    for count in [*range(1, 3000), 7 * 4**10, 2**24 - 1, 2**24 - 9]:
+        terms = readout._square_terms(count)
+        assert len(terms) <= 4 and all(t >= 1 for t in terms)
+        assert sum(t * t for t in terms) == count
+
+
+@pytest.mark.parametrize("distinct", [None, 300, 1])
+def test_fit_peak_allocation_is_the_normal_matrix_and_one_block(distinct):
+    # Random rows (nothing to skip), 300 repeated rows, one repeated row.
+    rng = np.random.default_rng(11)
+    n, p, k = 20000, 640, 3
+    if distinct is None:
+        x, y = random_batch(rng, n=n, p=p, k=k)
+    else:
+        x, y = repeated_design(rng, p, k, distinct, n, 0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    normal_matrix = 8 * (p + 1) ** 2
+    block = 5 * BLOCK_ELEMENTS  # float32 values in flight and gathered uint8 rows
+    row_keys = 16 * n  # each fed row's index and scale
+    assert peak <= normal_matrix + block + row_keys
 
 
 def test_fit_peak_allocation_is_below_the_design_size():
