@@ -155,7 +155,8 @@ def run_bytes(config: RunConfig) -> int:
     """
     n_rows = N_PATTERNS * (config.distractor + 2 * MESSAGE_LEN)
     return max(
-        n_rows * params.feature_length + working_bytes(params.feature_length)
+        n_rows * params.feature_length
+        + working_bytes(n_rows, params.feature_length, OUTPUT_WIDTH)
         for params in config.layers
     )
 

@@ -281,11 +281,12 @@ def test_runs_that_do_not_fit_in_memory_are_usage_errors(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "not enough memory" in err
-    assert "76 MB" in err and "50 MB is available" in err
+    needed = reca.pipeline.run_bytes(reca.pipeline.build_config(90, 8, 8))
+    assert f"{needed / 1e6:.0f} MB" in err and "50 MB is available" in err
 
 
 def test_sweep_memory_need_counts_every_worker(monkeypatch, capsys):
-    # One (4,4) run needs about 14 MB: one worker fits in 20 MB, two do not.
+    # One (4,4) run needs about 13 MB: one worker fits in 20 MB, two do not.
     monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 20 * 10**6)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []

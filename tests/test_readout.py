@@ -192,6 +192,8 @@ def test_fit_peak_allocation_is_the_normal_matrix_and_one_block(distinct):
     block = 5 * BLOCK_ELEMENTS  # float32 values in flight and gathered uint8 rows
     row_keys = 16 * n  # each fed row's index and scale
     assert peak <= normal_matrix + block + row_keys
+    # the memory check before a run counts at least what the fit holds
+    assert peak <= readout.working_bytes(n, p, k)
 
 
 def test_fit_peak_allocation_is_below_the_design_size():
