@@ -12,7 +12,7 @@ from .pipeline import (
     run_batches,
     run_once,
 )
-from .readout import ReadoutModel, binarize, binarize_array, fit, predict
+from .readout import ReadoutModel, binarize_array, fit, predict
 from .reservoir import ReservoirParams, run_sequences
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ReadoutModel",
     "fit",
     "predict",
-    "binarize",
     "binarize_array",
     "TaskSequence",
     "EvaluationResult",

@@ -7,14 +7,14 @@ common rank-deficient case, e.g. constant CA columns, stays solvable while
 well-conditioned solutions are perturbed far below test tolerances.
 
 Both ``fit`` and ``predict`` stream the design matrix in row blocks, so
-neither ever holds a float copy of all of it. Every BLAS and LAPACK call goes
-through scipy: numpy's ``@`` would run in numpy's own OpenBLAS copy, and two
-OpenBLAS thread pools in one process spin against each other for the cores.
+neither holds a float copy of all of it; ``fit`` streams each distinct row of
+``[X Y]`` once, weighted by its count, when many repeat. All BLAS and LAPACK
+calls go through scipy: numpy's ``@`` would run in numpy's own OpenBLAS, and
+two OpenBLAS thread pools in one process spin against each other.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ BLOCK_ELEMENTS = 2**19  # values converted to float per fit or predict block
 MAX_FIT_ROWS = 2**24  # float32 counts are exact below this
 SKIP_FRACTION = 16  # skip repeated rows only if at least 1/16 of all rows can go
 CHUNK_BYTES = 2**20  # feature bytes hashed at a time
-PREFIX_FEATURES = 64  # features of each row hashed first, to bound its repeats
+END_FEATURES = 64  # features at each end of a row hashed first, to bound its repeats
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,20 +53,19 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
 
     The normal equations come from the Gram matrix of ``[X 1 Y]``: X^T X, the
     column sums, N and X^T Y. With 0/1 entries each is an integer count
-    <= N, exact in float32 for N < 2^24, so neither the order of the sum nor
-    the integer row weights below can move the result.
+    <= N, exact in float32 for N < 2^24, so the order of the sum cannot move
+    the result. When at least 1/``SKIP_FRACTION`` of the rows can go, each
+    group of c identical rows of ``[X Y]`` is fed as one member, and the
+    members of all groups of one size c go through ``ssyrk`` with alpha = c:
+    every term and partial sum is still an integer <= N.
 
-    When at least 1/``SKIP_FRACTION`` of the rows can go, a group of c > 4
-    identical rows of ``[X Y]`` is fed as at most four of its members,
-    scaled by integers whose squares sum to c (Lagrange's four-square
-    theorem), and the others are skipped. The fed rows are copied in blocks
-    of about ``BLOCK_ELEMENTS`` values into the head of one buffer, and one
-    ``ssyrk`` per block adds their Gram matrix to the upper triangle of the
-    float32 Gram at its tail. The head then becomes the float64 normal
-    matrix, and the Gram is widened into it in place, so the fit holds
-    about max(8 (p + 1)^2, 4 m (m + block rows)) bytes beside its inputs,
-    m = p + 1 + k, and one block more while it widens (``working_bytes``).
-    The solve is float64.
+    The fed rows are copied in blocks of about ``BLOCK_ELEMENTS`` values
+    into the head of one buffer, and one ``ssyrk`` per block adds their Gram
+    matrix to the upper triangle of the float32 Gram at its tail. The head
+    then becomes the float64 normal matrix, and the Gram is widened into it
+    in place, so the fit holds about max(8 (p + 1)^2, 4 m (m + block rows))
+    bytes beside its inputs, m = p + 1 + k (``working_bytes``). The solve is
+    float64.
     """
     x = np.asarray(features)
     y = np.asarray(targets)
@@ -89,13 +88,20 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
     p, k = x.shape[1], y.shape[1]
     q = p + 1  # columns of [X 1]
     m = q + k
-    rows, scales = _row_scales(x, y)
+    groups = _row_groups(x, y)
 
-    block_rows, words = _fit_layout(x.shape[0] if rows is None else len(rows), p, k)
+    block_rows, words = _fit_layout(x.shape[0] if groups is None else len(groups[0]), p, k)
     buffer = np.zeros(words, dtype=np.float64)
     gram = buffer.view(np.float32)[-m * m :].reshape(m, m, order="F")
     block_buffer = buffer.view(np.float32)[: block_rows * m].reshape(block_rows, m)
-    gram = _add_gram(gram, block_buffer, x, y, rows, scales)
+    if groups is None:
+        gram = _add_gram(gram, block_buffer, x, y)
+    else:
+        members, sizes = groups
+        for size in np.unique(sizes).tolist():
+            rows = members[sizes == size]
+            rows.sort()
+            gram = _add_gram(gram, block_buffer, x, y, rows, size)
     del block_buffer
     a = buffer[: q * q].reshape(q, q, order="F")
     b = np.array(gram[:q, q:], dtype=np.float64, order="F")
@@ -143,28 +149,27 @@ def working_bytes(n_rows: int, feature_length: int, output_width: int) -> int:
     """Most bytes ``fit`` or ``predict`` holds beside an (n_rows, p) design.
 
     ``fit``: its one buffer (``_fit_layout``, every row fed), the float32
-    columns it widens through, ``b``, and the fed rows' indices and scales.
-    ``predict``: its float64 block, which holds under two blocks' rows, and
-    its output. The two never run at once.
+    columns it widens through, ``b``, and the fed rows' indices and group
+    sizes with one size's mask and indices. ``predict``: its float64 block,
+    under two blocks' rows, and its output. The two never run at once.
     """
     p, k = feature_length, output_width
     q = p + 1
     _, words = _fit_layout(n_rows, p, k)
-    fit_bytes = 8 * words + 4 * q * _widen_columns(q) + 8 * q * k + 12 * n_rows
+    fit_bytes = 8 * words + 4 * q * _widen_columns(q) + 8 * q * k + 25 * n_rows
     predict_rows = min(n_rows, 2 * max(1, BLOCK_ELEMENTS // max(p, 1)))
     predict_bytes = 8 * predict_rows * p + 8 * n_rows * k
     return max(fit_bytes, predict_bytes)
 
 
 def _add_gram(gram: np.ndarray, buf: np.ndarray, x: np.ndarray, y: np.ndarray,
-              rows: np.ndarray | None, scales: np.ndarray | None) -> np.ndarray:
-    """Add the Gram matrix of the scaled rows ``[X 1 Y][rows]`` to ``gram``'s upper triangle.
+              rows: np.ndarray | None = None, alpha: float = 1.0) -> np.ndarray:
+    """Add ``alpha`` times the Gram matrix of ``[X 1 Y][rows]`` to ``gram``'s upper triangle.
 
-    ``rows`` None means every row, in order and unscaled. One ``ssyrk`` per
-    block of ``len(buf)`` rows, each copied into the C-ordered float32
-    ``buf``; returns the updated ``gram``. A feature value other than 0 or 1
-    is a ValueError. Only the fed rows are checked: every row that
-    ``_row_scales`` skips is byte-identical to a fed one.
+    ``rows`` None means every row, in order. One ``ssyrk`` per block of
+    ``len(buf)`` rows, each copied into the C-ordered float32 ``buf``;
+    returns the updated ``gram``. A feature other than 0 or 1 is a
+    ValueError; rows that ``_row_groups`` leaves out equal a checked one.
     """
     p = x.shape[1]
     n = x.shape[0] if rows is None else len(rows)
@@ -179,12 +184,8 @@ def _add_gram(gram: np.ndarray, buf: np.ndarray, x: np.ndarray, y: np.ndarray,
         if source.max(initial=0) > 1:  # the copy brought ``source`` into cache
             raise ValueError("features must hold only 0s and 1s")
         np.copyto(block[:, p + 1 :], y[index], casting="unsafe")
-        if scales is not None:
-            block *= scales[lo:hi, None]
-        # block.T @ block, upper triangle only, added to ``gram`` in place
-        gram = scipy.linalg.blas.ssyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
-        if scales is not None:
-            block[:, p] = 1.0
+        # alpha * block.T @ block, upper triangle only, added to ``gram`` in place
+        gram = scipy.linalg.blas.ssyrk(alpha, block.T, beta=1.0, c=gram, overwrite_c=1)
     return gram
 
 
@@ -201,36 +202,31 @@ def _as_bits(values: np.ndarray, name: str) -> np.ndarray:
     return values.astype(np.uint8, copy=False)
 
 
-def _row_scales(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The rows of ``[X Y]`` to feed, ascending, and their integer scales as float32.
+def _row_groups(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """One member of each group of identical rows of ``[X Y]``, and the group's size.
 
-    Identical rows are found by sorting a hash of the rows; rows next to
-    each other in that order with equal hashes are compared byte for byte,
-    so a hash collision can only leave a group split, never join rows that
-    differ. A group of c > 4 identical rows is fed as at most four of its
-    members, scaled by integers whose squares sum to c, and its other
-    members are skipped, so the weighted Gram matrix is the full one. Other
-    rows keep scale 1. If fewer than 1/``SKIP_FRACTION`` of the rows would
-    be skipped, every row is fed as it is, and both are None: feeding rows
-    out of order costs a gather per block, more than a few skipped rows save.
-    On the (6720, 2560) and (32320, 640) designs of rule 90, on a 2-vCPU
-    Xeon VM, a gather of every row adds 3-6% to the stream, one that skips
-    1/64 of the rows 1-4%, and one that skips 1/16 of them breaks even.
+    Rows are grouped by sorting a hash of each row and comparing rows with
+    equal hashes byte for byte, so a hash collision can only split a group.
+    None if fewer than 1/``SKIP_FRACTION`` of the rows can go: every row is
+    then fed in order, as a gather per block costs more than a few rows
+    save. On rule 90's (6720, 2560) and (32320, 640) designs, on 2 vCPUs, a
+    gather of every row adds 3-6% to the stream, and one that leaves out
+    1/16 of them breaks even.
     """
     n = x.shape[0]
-    feed_all = None, None
-    # Identical rows of [X Y] share a bucket of even a hash of their first
-    # PREFIX_FEATURES features, so the buckets bound the rows that can go
-    # from above, for a read of a row's first 64 bytes and no sort. Only a
-    # design that may pass the threshold has its whole rows hashed.
+    # Identical rows also share a bucket of a hash of their last, and of
+    # their first, END_FEATURES features. Counting the rows in buckets of
+    # more than four (random distinct rows fill smaller ones by chance), at
+    # about one bucket a row, rules most designs out before any sort.
     bits = n.bit_length()  # about one bucket a row, by a hash's top bits
-    prefix_keys = _row_keys(x[:, :PREFIX_FEATURES], y[:, :0])
-    prefix_keys >>= np.uint64(64 - bits)
-    buckets = np.bincount(prefix_keys.view(np.int64), minlength=1 << bits)
-    del prefix_keys
-    if (buckets[buckets > 4] - 1).sum() < n // SKIP_FRACTION:
-        return feed_all
-    del buckets
+    for end in (x[:, -END_FEATURES:], x[:, :END_FEATURES]):
+        end_keys = _row_keys(end, y[:, :0])
+        end_keys >>= np.uint64(64 - bits)
+        buckets = np.bincount(end_keys.view(np.int64), minlength=1 << bits)
+        del end_keys
+        if (buckets[buckets > 4] - 1).sum() < n // SKIP_FRACTION:
+            return None
+        del buckets
 
     keys = _row_keys(x, y)
     order = np.argsort(keys)
@@ -245,19 +241,9 @@ def _row_scales(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray | None, np.nda
         same[pair] = (x[first] == x[second]).all(axis=1) & (y[first] == y[second]).all(axis=1)
 
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    counts = np.diff(starts, append=n)
-    scale = np.ones(n, dtype=np.float32)  # by sorted position
-    for count in np.unique(counts[counts > 4]).tolist():
-        terms = np.zeros(count, dtype=np.float32)
-        squares = _square_terms(count)
-        terms[: len(squares)] = squares
-        scale[starts[counts == count][:, None] + np.arange(count)] = terms
-    scale_at = np.empty(n, dtype=np.float32)
-    scale_at[order] = scale
-    rows = np.flatnonzero(scale_at)
-    if n - len(rows) < n // SKIP_FRACTION:
-        return feed_all
-    return rows, scale_at[rows]
+    if n - len(starts) < n // SKIP_FRACTION:
+        return None
+    return order[starts], np.diff(starts, append=n)
 
 
 def _row_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -296,38 +282,6 @@ def _odd_multipliers(n: int) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z | np.uint64(1)
-
-
-def _square_terms(count: int) -> list[int]:
-    """The fewest positive integers whose squares sum to ``count`` >= 1.
-
-    Four always suffice (Lagrange's four-square theorem).
-    """
-    if _needs_four_squares(count):
-        return _squares(count, 4)
-    return _squares(count, 1) or _squares(count, 2) or _squares(count, 3)
-
-
-def _squares(count: int, n_terms: int) -> list[int] | None:
-    """``n_terms`` positive integers, largest first, whose squares sum to ``count``."""
-    root = math.isqrt(count)
-    if n_terms == 1:
-        return [root] if root * root == count else None
-    if n_terms == 3 and _needs_four_squares(count):
-        return None
-    for first in range(root, 0, -1):
-        rest = count - first * first
-        terms = _squares(rest, n_terms - 1) if rest else None
-        if terms:
-            return [first, *terms]
-    return None
-
-
-def _needs_four_squares(count: int) -> bool:
-    """Whether ``count`` is 4^a (8b + 7), no sum of three squares (Legendre)."""
-    while count % 4 == 0:
-        count //= 4
-    return count % 8 == 7
 
 
 def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
@@ -378,13 +332,6 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
         )
     out += model.weights[-1]
     return out[0] if squeeze else out
-
-
-def binarize(value: float) -> int:
-    """Threshold one regression output: 0 below 0.5, 1 at or above it."""
-    if not np.isfinite(value):
-        raise ValueError(f"cannot binarize non-finite value {value!r}")
-    return 0 if value < 0.5 else 1
 
 
 def binarize_array(values: np.ndarray) -> np.ndarray:

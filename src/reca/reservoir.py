@@ -26,6 +26,10 @@ class ReservoirParams:
     seed: int
 
     def __post_init__(self):
+        if not 0 <= self.rule <= 255:
+            raise ValueError(f"rule must be in [0, 255], got {self.rule}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.mapping_count < 1:

@@ -34,18 +34,19 @@ def normal_equations_fit(features, targets, ridge=1e-8):
 
 
 def exact_integer_fit(features, targets, ridge=1e-8):
-    """The production solve on normal equations counted exactly in int64.
+    """The production solve on normal equations counted exactly.
 
-    Forms [X 1]^T [X 1] and [X 1]^T Y with integer arithmetic, converts them
-    to float64 and applies the same ridge, ``cho_factor`` and ``cho_solve``,
-    so on 0/1 data the weights must equal the production fit bit for bit.
+    Forms [X 1]^T [X 1] and [X 1]^T Y with scipy's float64 ``dgemm``: on
+    0/1 data every product and partial sum is an integer below 2^53, so the
+    counts are exact whatever order the BLAS sums in. It then applies the
+    same ridge, ``cho_factor`` and ``cho_solve``, so the weights must equal
+    the production fit bit for bit.
     """
-    x = np.asarray(features, dtype=np.int64)
-    y = np.asarray(targets, dtype=np.int64)
-    design = np.hstack([x, np.ones((x.shape[0], 1), dtype=np.int64)])
-    design_t = np.ascontiguousarray(design.T)  # integer matmul is faster C-ordered
-    a = (design_t @ design).astype(np.float64)
-    b = (design_t @ y).astype(np.float64)
+    x = np.asarray(features, dtype=np.float64)
+    design = np.asfortranarray(np.hstack([x, np.ones((x.shape[0], 1))]))
+    y = np.asfortranarray(targets, dtype=np.float64)
+    a = scipy.linalg.blas.dgemm(1.0, design, design, trans_a=1)
+    b = scipy.linalg.blas.dgemm(1.0, design, y, trans_a=1)
     a[np.diag_indices_from(a)] += ridge * np.trace(a) / a.shape[0]
     cho = scipy.linalg.cho_factor(a, lower=False, check_finite=False)
     return scipy.linalg.cho_solve(cho, b, check_finite=False)

@@ -6,8 +6,10 @@ benchmark percentages, so they run hundreds of full train-and-test runs and
 take on the order of 10-20 minutes in total on one core.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,10 +128,14 @@ def test_criterion_11_deterministic_csv(tmp_path):
         "--distractor", "200", "--runs", "3", "--seed", "42",
         "--no-timestamp", "--workers", "1",
     ]
+    # the child imports reca from this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    subprocess.run(args + ["--out", str(a)], check=True, capture_output=True)
-    subprocess.run(args + ["--out", str(b)], check=True, capture_output=True)
+    subprocess.run(args + ["--out", str(a)], check=True, capture_output=True, env=env)
+    subprocess.run(args + ["--out", str(b)], check=True, capture_output=True, env=env)
     ok = a.read_bytes() == b.read_bytes()
     report(11, ok, "repeated sweep produces byte-identical CSV")
 

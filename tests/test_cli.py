@@ -285,6 +285,38 @@ def test_runs_that_do_not_fit_in_memory_are_usage_errors(
     assert f"{needed / 1e6:.0f} MB" in err and "50 MB is available" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "render"])
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        ({"rule": 300}, "rule must be in [0, 255], got 300"),
+        ({"rule": 90, "layer2": {"rule": -1}}, "rule must be in [0, 255], got -1"),
+        ({"rule": 90, "seed": -2}, "seed must be >= 0, got -2"),
+    ],
+)
+def test_bad_rule_or_seed_is_a_usage_error_before_any_run(
+    tmp_path, monkeypatch, capsys, command, cfg, message
+):
+    for name in ("run_once", "run_batches", "space_time_grids"):
+        monkeypatch.setattr(reca.cli, name, refuse_to_run)
+    path = write_config(tmp_path / "cfg.json", **cfg)
+    assert main([command, "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bad_rule_or_seed_flags_run_nothing(tmp_path, monkeypatch, capsys):
+    # The bad rule is in the sweep's last cell: every cell is checked before
+    # the first one runs.
+    for name in ("run_once", "run_batches"):
+        monkeypatch.setattr(reca.cli, name, refuse_to_run)
+    path = write_config(tmp_path / "cfg.json", rules=[90, 300], combos=[[2, 4]], runs=3)
+    assert main(["sweep", "--config", path, "--no-timestamp"]) == 2
+    assert main(["sweep", "--rule", "90", "--seed", "-2", "--runs", "3"]) == 2
+    assert main(["run", "--rule", "90", "--seed", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("got 300") == 1 and err.count("seed must be >= 0, got -2") == 2
+
+
 def test_sweep_memory_need_counts_every_worker(monkeypatch, capsys):
     # One (4,4) run needs about 13 MB: one worker fits in 20 MB, two do not.
     monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 20 * 10**6)

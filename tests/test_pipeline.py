@@ -236,8 +236,10 @@ def test_run_once_calls_each_layer_phase_once_per_layer(monkeypatch, layered):
 
 def test_layer2_fit_skips_repeated_rows(monkeypatch):
     # Before the cue all 32 sequences see the same waiting signal, so layer
-    # 2's design is mostly repeated rows; its fit must not stream them all.
+    # 2's design is mostly repeated rows; its fit streams each distinct row
+    # of [X Y] once.
     fed = []  # rows streamed through ssyrk, one entry per fit
+    distinct = []  # distinct rows of [X Y], one entry per fit
     ssyrk = scipy.linalg.blas.ssyrk
     fit = reca.pipeline.fit
 
@@ -247,6 +249,7 @@ def test_layer2_fit_skips_repeated_rows(monkeypatch):
 
     def counting_fit(x, y, *args, **kwargs):
         fed.append(0)
+        distinct.append(len(np.unique(np.hstack([x, y]), axis=0)))
         return fit(x, y, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.blas, "ssyrk", counting_ssyrk)
@@ -254,6 +257,5 @@ def test_layer2_fit_skips_repeated_rows(monkeypatch):
     config = build_config(rule=90, iterations=4, mappings=4, diffuse=40,
                           distractor=200, seed=1, layer2_rule=90)
     run_once(config)
-    n_rows = 32 * 210
-    assert fed[0] == n_rows  # layer 1 has too few repeats to skip any
-    assert 0 < fed[1] <= n_rows // 10
+    assert fed[0] == 32 * 210  # layer 1 has too few repeats to skip any
+    assert fed[1] == distinct[1] < fed[0] // 10

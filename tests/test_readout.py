@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from reca.readout import (
     BLOCK_ELEMENTS,
     MAX_FIT_ROWS,
     ReadoutModel,
-    binarize,
     binarize_array,
     fit,
     predict,
@@ -147,7 +147,7 @@ def test_fit_of_repeated_rows_equals_exact_integer_oracle(
     p, k, distinct, blocks, with_singles, seed
 ):
     # N in the first, second or third row block; with singles, the fed rows
-    # span more than one block too and mix skipped, scaled and plain rows.
+    # of size one alone span more than one block, beside groups of other sizes.
     rng = np.random.default_rng(seed)
     block_rows = BLOCK_ELEMENTS // (p + 1 + k)
     n = max(distinct, blocks * block_rows + int(rng.integers(1, block_rows)))
@@ -165,11 +165,35 @@ def test_fit_stays_exact_when_every_row_hash_collides(monkeypatch):
     assert np.array_equal(fit(x, y).weights, exact_integer_fit(x, y))
 
 
-def test_square_terms_sum_to_the_count():
-    for count in [*range(1, 3000), 7 * 4**10, 2**24 - 1, 2**24 - 9]:
-        terms = readout._square_terms(count)
-        assert len(terms) <= 4 and all(t >= 1 for t in terms)
-        assert sum(t * t for t in terms) == count
+@pytest.mark.parametrize("repeated_end", ["first", "last"])
+def test_rows_that_repeat_only_at_one_end_are_streamed_whole(monkeypatch, repeated_end):
+    # Four patterns in 64 features at one end of each row, random bits at
+    # the other, so no row repeats: the bound over the row ends passes
+    # without result, and no whole row is hashed.
+    rng = np.random.default_rng(13)
+    n = 3000
+    repeated = rng.integers(0, 2, size=(4, 64), dtype=np.uint8)[rng.integers(0, 4, size=n)]
+    random = rng.integers(0, 2, size=(n, 64), dtype=np.uint8)
+    x = np.hstack([repeated, random] if repeated_end == "first" else [random, repeated])
+    y = rng.integers(0, 2, size=(n, 3), dtype=np.uint8)
+    fed, hashed = [], []
+    ssyrk, row_keys = scipy.linalg.blas.ssyrk, readout._row_keys
+
+    def counting_ssyrk(alpha, a, *args, **kwargs):
+        fed.append((alpha, a.shape[1]))
+        return ssyrk(alpha, a, *args, **kwargs)
+
+    def counting_row_keys(x, y):
+        hashed.append(x.shape[1] + y.shape[1])
+        return row_keys(x, y)
+
+    monkeypatch.setattr(scipy.linalg.blas, "ssyrk", counting_ssyrk)
+    monkeypatch.setattr(readout, "_row_keys", counting_row_keys)
+    weights = fit(x, y).weights
+    assert {alpha for alpha, _ in fed} == {1.0}
+    assert sum(rows for _, rows in fed) == n
+    assert max(hashed) == readout.END_FEATURES
+    assert np.array_equal(weights, exact_integer_fit(x, y))
 
 
 @pytest.mark.parametrize("distinct", [None, 300, 1])
@@ -190,7 +214,7 @@ def test_fit_peak_allocation_is_the_normal_matrix_and_one_block(distinct):
         tracemalloc.stop()
     normal_matrix = 8 * (p + 1) ** 2
     block = 5 * BLOCK_ELEMENTS  # float32 values in flight and gathered uint8 rows
-    row_keys = 16 * n  # each fed row's index and scale
+    row_keys = 16 * n  # each fed row's index and group size
     assert peak <= normal_matrix + block + row_keys
     # the memory check before a run counts at least what the fit holds
     assert peak <= readout.working_bytes(n, p, k)
@@ -266,25 +290,18 @@ def test_fit_rejects_mismatched_rows():
     "value,expected", [(0.49, 0), (0.5, 1), (-3.2, 0), (0.51, 1), (1.0, 1)]
 )
 def test_binarize_threshold(value, expected):
-    assert binarize(value) == expected
+    assert binarize_array(np.array([value])).tolist() == [expected]
 
 
 def test_binarize_rejects_non_finite():
-    with pytest.raises(ValueError):
-        binarize(float("nan"))
-    with pytest.raises(ValueError):
-        binarize_array(np.array([0.2, float("inf")]))
+    for value in [float("nan"), float("inf"), float("-inf")]:
+        with pytest.raises(ValueError):
+            binarize_array(np.array([0.2, value]))
 
 
 def test_binarize_is_monotone():
-    values = np.linspace(-2, 2, 101)
-    bits = [binarize(v) for v in values]
+    bits = binarize_array(np.linspace(-2, 2, 101)).tolist()
     assert bits == sorted(bits)
-
-
-def test_binarize_array_matches_scalar():
-    values = np.array([-1.0, 0.0, 0.499, 0.5, 0.75, 2.0])
-    assert binarize_array(values).tolist() == [binarize(v) for v in values]
 
 
 NUMPY_BLAS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
