@@ -8,17 +8,28 @@ well-conditioned solutions are perturbed far below test tolerances.
 
 Both ``fit`` and ``predict`` stream the design matrix in row blocks, so
 neither holds a float copy of all of it; ``fit`` streams each distinct row of
-``[X Y]`` once, weighted by its count, when many repeat. All BLAS and LAPACK
-calls go through scipy: numpy's ``@`` would run in numpy's own OpenBLAS, and
-two OpenBLAS thread pools in one process spin against each other.
+``[X Y]`` once, weighted by its count, when many repeat.
+
+All BLAS and LAPACK work is four routines of scipy's OpenBLAS: ``ssyrk`` and
+``dgemm`` from the compiled ``scipy.linalg._fblas``, ``dpotrf`` and ``dpotrs``
+from ``scipy.linalg._flapack`` (both shipped since scipy 1.10). numpy's ``@``
+would run in numpy's own OpenBLAS, and two OpenBLAS thread pools in one
+process spin against each other. The two modules are loaded from scipy's
+``linalg`` directory directly, so ``scipy/linalg/__init__.py`` never runs: its
+array-API support imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``,
+and on a 2-vCPU VM ``scipy.linalg`` took 181 ms of a 271 ms ``import
+reca.cli``; the two modules and ``import scipy`` take about 13 ms.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 RIDGE_SCALE = 1e-8
 BLOCK_ELEMENTS = 2**19  # values converted to float per fit or predict block
@@ -26,6 +37,26 @@ MAX_FIT_ROWS = 2**24  # float32 counts are exact below this
 SKIP_FRACTION = 16  # skip repeated rows only if at least 1/16 of all rows can go
 CHUNK_BYTES = 2**20  # feature bytes hashed at a time
 END_FEATURES = 64  # features at each end of a row hashed first, to bound its repeats
+
+
+def _load_linalg_module(name: str) -> ModuleType:
+    """scipy's compiled ``scipy.linalg.<name>``, loaded without ``scipy/linalg/__init__.py``."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        f"scipy.linalg.{name}", [f"{scipy.__path__[0]}/linalg"]
+    )
+    if spec is None:
+        raise ImportError(
+            f"scipy {scipy.__version__} has no compiled scipy.linalg.{name} "
+            f"(reca needs scipy>=1.10)",
+            name=f"scipy.linalg.{name}",
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_fblas = _load_linalg_module("_fblas")  # ssyrk, dgemm
+_flapack = _load_linalg_module("_flapack")  # dpotrf, dpotrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +80,8 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
     Args:
         features: (N, p) matrix of 0s and 1s.
         targets: (N, k) matrix of 0s and 1s.
-        ridge: relative ridge strength added to the normal-equation diagonal.
+        ridge: relative ridge strength added to the normal-equation diagonal;
+            a ValueError unless finite and >= 0.
 
     The normal equations come from the Gram matrix of ``[X 1 Y]``: X^T X, the
     column sums, N and X^T Y. With 0/1 entries each is an integer count
@@ -75,6 +107,8 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
         raise ValueError("features and targets must have the same row count")
     if x.shape[0] < 1:
         raise ValueError("at least one training row is required")
+    if not (ridge >= 0 and np.isfinite(ridge)):
+        raise ValueError(f"ridge must be finite and >= 0, not {ridge}")
     if x.shape[0] >= MAX_FIT_ROWS:
         raise ValueError(
             f"{x.shape[0]} rows: the float32 Gram counts are exact only "
@@ -113,13 +147,21 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
         a[:, columns] = gram[:q, columns].copy(order="F")
     del gram
 
-    # Only the upper triangle of ``a`` is ever read (cho_factor(lower=False)),
-    # so the Gram matrix is not mirrored, and the factor is in place.
+    # Only the upper triangle of ``a`` is ever read (dpotrf with lower=0), so
+    # the Gram matrix is not mirrored, and the factor is in place.
     alpha = ridge * np.trace(a) / q
     a[np.diag_indices_from(a)] += alpha
 
-    cho = scipy.linalg.cho_factor(a, lower=False, overwrite_a=True, check_finite=False)
-    weights = scipy.linalg.cho_solve(cho, b, check_finite=False)
+    factor, info = _flapack.dpotrf(a, lower=0, overwrite_a=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    weights, info = _flapack.dpotrs(factor, b, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return ReadoutModel(weights)
 
 
@@ -185,7 +227,7 @@ def _add_gram(gram: np.ndarray, buf: np.ndarray, x: np.ndarray, y: np.ndarray,
             raise ValueError("features must hold only 0s and 1s")
         np.copyto(block[:, p + 1 :], y[index], casting="unsafe")
         # alpha * block.T @ block, upper triangle only, added to ``gram`` in place
-        gram = scipy.linalg.blas.ssyrk(alpha, block.T, beta=1.0, c=gram, overwrite_c=1)
+        gram = _fblas.ssyrk(alpha, block.T, beta=1.0, c=gram, overwrite_c=1)
     return gram
 
 
@@ -327,7 +369,7 @@ def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
         lo = i * rows
         hi = n if i == n_blocks - 1 else lo + rows
         np.copyto(block[: hi - lo], x[lo:hi])
-        scipy.linalg.blas.dgemm(
+        _fblas.dgemm(
             1.0, a, block[: hi - lo].T, c=out[lo:hi].T, trans_a=trans_a, overwrite_c=1
         )
     out += model.weights[-1]

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.blas
 
 import reca.pipeline
+import reca.readout
 from reca.memory_task import all_patterns, evaluate
 from reca.pipeline import (
     LAYER2_SEED_OFFSET,
@@ -240,7 +240,7 @@ def test_layer2_fit_skips_repeated_rows(monkeypatch):
     # of [X Y] once.
     fed = []  # rows streamed through ssyrk, one entry per fit
     distinct = []  # distinct rows of [X Y], one entry per fit
-    ssyrk = scipy.linalg.blas.ssyrk
+    ssyrk = reca.readout._fblas.ssyrk
     fit = reca.pipeline.fit
 
     def counting_ssyrk(alpha, a, *args, **kwargs):
@@ -252,7 +252,7 @@ def test_layer2_fit_skips_repeated_rows(monkeypatch):
         distinct.append(len(np.unique(np.hstack([x, y]), axis=0)))
         return fit(x, y, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.blas, "ssyrk", counting_ssyrk)
+    monkeypatch.setattr(reca.readout._fblas, "ssyrk", counting_ssyrk)
     monkeypatch.setattr(reca.pipeline, "fit", counting_fit)
     config = build_config(rule=90, iterations=4, mappings=4, diffuse=40,
                           distractor=200, seed=1, layer2_rule=90)

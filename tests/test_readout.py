@@ -1,10 +1,12 @@
 import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +126,22 @@ def test_fit_rejects_non_binary_values(features, targets):
         fit(features, targets)
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -float("inf"), -1e-3])
+def test_fit_rejects_a_ridge_that_is_not_finite_and_non_negative(ridge):
+    x, y = random_batch(np.random.default_rng(21))
+    with pytest.raises(ValueError, match="ridge"):
+        fit(x, y, ridge=ridge)
+
+
+def test_unregularized_fit_of_an_all_zero_column_is_not_positive_definite():
+    # Without a ridge, the normal matrix of a design with an all-zero column
+    # has a zero pivot: the Cholesky factorization must fail, not return weights.
+    x, y = random_batch(np.random.default_rng(22))
+    x[:, 5] = 0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        fit(x, y, ridge=0.0)
+
+
 def repeated_design(rng, p, k, distinct, n, singles):
     """``distinct`` random rows repeated to ``n`` rows, plus ``singles`` more, shuffled."""
     base = rng.integers(0, 2, size=(distinct, p + k), dtype=np.uint8)
@@ -177,7 +195,7 @@ def test_rows_that_repeat_only_at_one_end_are_streamed_whole(monkeypatch, repeat
     x = np.hstack([repeated, random] if repeated_end == "first" else [random, repeated])
     y = rng.integers(0, 2, size=(n, 3), dtype=np.uint8)
     fed, hashed = [], []
-    ssyrk, row_keys = scipy.linalg.blas.ssyrk, readout._row_keys
+    ssyrk, row_keys = readout._fblas.ssyrk, readout._row_keys
 
     def counting_ssyrk(alpha, a, *args, **kwargs):
         fed.append((alpha, a.shape[1]))
@@ -187,7 +205,7 @@ def test_rows_that_repeat_only_at_one_end_are_streamed_whole(monkeypatch, repeat
         hashed.append(x.shape[1] + y.shape[1])
         return row_keys(x, y)
 
-    monkeypatch.setattr(scipy.linalg.blas, "ssyrk", counting_ssyrk)
+    monkeypatch.setattr(readout._fblas, "ssyrk", counting_ssyrk)
     monkeypatch.setattr(readout, "_row_keys", counting_row_keys)
     weights = fit(x, y).weights
     assert {alpha for alpha, _ in fed} == {1.0}
@@ -333,7 +351,8 @@ def test_numpy_blas_uses_finds_every_form():
 def test_src_makes_no_numpy_blas_call():
     # numpy and scipy each load their own OpenBLAS; one process that calls
     # both runs two thread pools that contend for the cores. All BLAS and
-    # LAPACK work goes through scipy.
+    # LAPACK work goes through scipy's compiled _fblas and _flapack modules,
+    # which readout loads itself.
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = []
@@ -348,3 +367,16 @@ def test_src_makes_no_numpy_blas_call():
             if id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}: {what}")
     assert found == []
+
+
+def test_importing_the_cli_skips_scipy_linalg_and_numpy_test_tools():
+    # scipy.linalg's __init__ imports numpy.f2py, numpy.testing and numpy.ma
+    # through scipy's array-API support, over half of the CLI's import time.
+    # A fresh interpreter: this one has imported scipy.linalg already.
+    heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing"]
+    code = f"import sys, reca.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env).stdout
+    assert out.strip() == "[]"
