@@ -87,16 +87,19 @@ def evaluate(predictions: np.ndarray, tasks: list[TaskSequence]) -> EvaluationRe
     """Count exact bit matches of predictions against the 32 target streams.
 
     Args:
-        predictions: (n_sequences, T, 3) binary array, one row of 3 bits per
-            time step per sequence, in pattern order.
+        predictions: (n_sequences, T, 3) array of 0s and 1s, one row of 3
+            bits per time step per sequence, in pattern order; any other
+            value is a ValueError.
         tasks: the sequences the predictions answer.
     """
-    preds = np.asarray(predictions, dtype=np.uint8)
+    preds = np.asarray(predictions)
     targets = np.stack([task.targets for task in tasks])
     if preds.shape != targets.shape:
         raise ValueError(
             f"predictions shape {preds.shape} does not match targets {targets.shape}"
         )
+    if not ((preds == 0) | (preds == 1)).all():
+        raise ValueError("predictions must hold only 0s and 1s")
     total = int(targets.size)
     correct = int(np.count_nonzero(preds == targets))
     return EvaluationResult(total_bits=total, correct_bits=correct)

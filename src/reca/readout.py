@@ -32,11 +32,10 @@ import numpy as np
 import scipy
 
 RIDGE_SCALE = 1e-8
-BLOCK_ELEMENTS = 2**19  # values converted to float per fit or predict block
+BLOCK_ELEMENTS = 2**19  # values converted to float, or packed to bits, per block
 MAX_FIT_ROWS = 2**24  # float32 counts are exact below this
 SKIP_FRACTION = 16  # skip repeated rows only if at least 1/16 of all rows can go
-CHUNK_BYTES = 2**20  # feature bytes hashed at a time
-END_FEATURES = 64  # features at each end of a row hashed first, to bound its repeats
+END_FEATURES = 64  # features at each end of a row packed first, to bound its repeats
 
 
 def _load_linalg_module(name: str) -> ModuleType:
@@ -96,8 +95,8 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
     matrix to the upper triangle of the float32 Gram at its tail. The head
     then becomes the float64 normal matrix, and the Gram is widened into it
     in place, so the fit holds about max(8 (p + 1)^2, 4 m (m + block rows))
-    bytes beside its inputs, m = p + 1 + k (``working_bytes``). The solve is
-    float64.
+    bytes beside its inputs, m = p + 1 + k, and the grouping of its rows up
+    to about N (p + k) / 2 bytes (``working_bytes``). The solve is float64.
     """
     x = np.asarray(features)
     y = np.asarray(targets)
@@ -190,18 +189,21 @@ def _widen_columns(q: int) -> int:
 def working_bytes(n_rows: int, feature_length: int, output_width: int) -> int:
     """Most bytes ``fit`` or ``predict`` holds beside an (n_rows, p) design.
 
-    ``fit``: its one buffer (``_fit_layout``, every row fed), the float32
-    columns it widens through, ``b``, and the fed rows' indices and group
-    sizes with one size's mask and indices. ``predict``: its float64 block,
-    under two blocks' rows, and its output. The two never run at once.
+    ``fit``: grouping the rows (``_row_groups``) holds up to four packed
+    copies of them and six 8-byte words a row; then its one buffer
+    (``_fit_layout``, every row fed), the float32 columns it widens through,
+    ``b``, and the fed rows' indices and group sizes with one size's mask
+    and indices. ``predict``: its float64 block, under two blocks' rows, and
+    its output. No two of these run at once.
     """
     p, k = feature_length, output_width
     q = p + 1
+    group_bytes = n_rows * (4 * (-(-p // 8) + -(-k // 8)) + 48)
     _, words = _fit_layout(n_rows, p, k)
     fit_bytes = 8 * words + 4 * q * _widen_columns(q) + 8 * q * k + 25 * n_rows
     predict_rows = min(n_rows, 2 * max(1, BLOCK_ELEMENTS // max(p, 1)))
     predict_bytes = 8 * predict_rows * p + 8 * n_rows * k
-    return max(fit_bytes, predict_bytes)
+    return max(group_bytes, fit_bytes, predict_bytes)
 
 
 def _add_gram(gram: np.ndarray, buf: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -211,7 +213,7 @@ def _add_gram(gram: np.ndarray, buf: np.ndarray, x: np.ndarray, y: np.ndarray,
     ``rows`` None means every row, in order. One ``ssyrk`` per block of
     ``len(buf)`` rows, each copied into the C-ordered float32 ``buf``;
     returns the updated ``gram``. A feature other than 0 or 1 is a
-    ValueError; rows that ``_row_groups`` leaves out equal a checked one.
+    ValueError; ``_row_groups`` checks every row before it leaves any out.
     """
     p = x.shape[1]
     n = x.shape[0] if rows is None else len(rows)
@@ -247,83 +249,50 @@ def _as_bits(values: np.ndarray, name: str) -> np.ndarray:
 def _row_groups(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """One member of each group of identical rows of ``[X Y]``, and the group's size.
 
-    Rows are grouped by sorting a hash of each row and comparing rows with
-    equal hashes byte for byte, so a hash collision can only split a group.
-    None if fewer than 1/``SKIP_FRACTION`` of the rows can go: every row is
-    then fed in order, as a gather per block costs more than a few rows
-    save. On rule 90's (6720, 2560) and (32320, 640) designs, on 2 vCPUs, a
-    gather of every row adds 3-6% to the stream, and one that leaves out
-    1/16 of them breaks even.
+    Rows are grouped by their exact packed bits; each member is its group's
+    first row. A feature other than 0 or 1 is a ValueError, as packing would
+    read it as a 1. None if fewer than 1/``SKIP_FRACTION`` of the rows can
+    go: every row is then fed in order, as a gather per block costs more than
+    a few rows save. On rule 90's (6720, 2560) and (32320, 640) designs, on 2
+    vCPUs, a gather of every row adds 3-6% to the stream, and one that leaves
+    out 1/16 of them breaks even.
     """
     n = x.shape[0]
-    # Identical rows also share a bucket of a hash of their last, and of
-    # their first, END_FEATURES features. Counting the rows in buckets of
-    # more than four (random distinct rows fill smaller ones by chance), at
-    # about one bucket a row, rules most designs out before any sort.
-    bits = n.bit_length()  # about one bucket a row, by a hash's top bits
-    for end in (x[:, -END_FEATURES:], x[:, :END_FEATURES]):
-        end_keys = _row_keys(end, y[:, :0])
-        end_keys >>= np.uint64(64 - bits)
-        buckets = np.bincount(end_keys.view(np.int64), minlength=1 << bits)
-        del end_keys
-        if (buckets[buckets > 4] - 1).sum() < n // SKIP_FRACTION:
-            return None
-        del buckets
-
-    keys = _row_keys(x, y)
-    order = np.argsort(keys)
-    keys = keys[order]
-    same = keys[1:] == keys[:-1]  # same[i]: sorted rows i and i + 1 are one row
-    del keys
-    pairs = np.flatnonzero(same)
-    chunk = max(1, BLOCK_ELEMENTS // (x.shape[1] + y.shape[1]))
-    for lo in range(0, len(pairs), chunk):
-        pair = pairs[lo : lo + chunk]
-        first, second = order[pair], order[pair + 1]
-        same[pair] = (x[first] == x[second]).all(axis=1) & (y[first] == y[second]).all(axis=1)
-
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    if n - len(starts) < n // SKIP_FRACTION:
+    # Identical rows share both ends: distinct ends bound the rows that can go.
+    last = _packed(x[:, -END_FEATURES:], np.zeros((n, 8), np.uint8)).view(np.uint64)[:, 0]
+    if n - 1 - np.count_nonzero(np.diff(np.sort(last))) < n // SKIP_FRACTION:
         return None
-    return order[starts], np.diff(starts, append=n)
+    first = _packed(x[:, :END_FEATURES], np.zeros((n, 8), np.uint8)).view(np.uint64)[:, 0]
+    order = np.lexsort((first, last))
+    new = (np.diff(last[order]) != 0) | (np.diff(first[order]) != 0)
+    if n - 1 - np.count_nonzero(new) < n // SKIP_FRACTION:
+        return None
+    del last, first, order, new
 
-
-def _row_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of ``[X Y]``.
-
-    The row of X is packed to bits (any nonzero value is a 1) and read as
-    64-bit words, zero-padded to whole words; its words and the values of Y
-    are multiplied by fixed odd numbers and summed. X is read in chunks of
-    about ``CHUNK_BYTES``, so its packed copies stay small.
-    """
-    n, p = x.shape
-    words = -(-p // 64)
-    odd = _odd_multipliers(words + y.shape[1])
-    keys = np.empty(n, dtype=np.uint64)
-    chunk = max(1, CHUNK_BYTES // max(1, p))
+    if x.max(initial=0) > 1:
+        raise ValueError("features must hold only 0s and 1s")
+    x_bytes = -(-x.shape[1] // 8)
+    packed = np.empty((n, x_bytes + -(-y.shape[1] // 8)), dtype=np.uint8)
+    chunk = max(1, BLOCK_ELEMENTS // max(1, x.shape[1]))
     for lo in range(0, n, chunk):
-        part = keys[lo : lo + chunk]
-        packed = np.packbits(x[lo : lo + chunk], axis=1)
-        if packed.shape[1] != 8 * words:
-            packed = np.pad(packed, ((0, 0), (0, 8 * words - packed.shape[1])))
-        np.sum(packed.view(np.uint64) * odd[:words], axis=1, out=part)
-        for j in range(y.shape[1]):
-            part += y[lo : lo + chunk, j].astype(np.uint64) * odd[words + j]
-    return keys
+        _packed(x[lo : lo + chunk], packed[lo : lo + chunk, :x_bytes])
+    _packed(y, packed[:, x_bytes:])  # whole: numpy caches freed buffers < 1 KB
+    # np.unique sorts stably when it returns indices: each member is a first row
+    rows = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    members, sizes = np.unique(rows, return_index=True, return_counts=True)[1:]
+    del packed, rows
+    if n - len(members) < n // SKIP_FRACTION:
+        return None
+    # Copied: made above np.unique's freed row copies and held through the fit,
+    # they raised peak RSS ~3 MB at rule 90 (4,4), T_d=1000 (glibc heap).
+    return members.copy(), sizes.copy()
 
 
-def _odd_multipliers(n: int) -> np.ndarray:
-    """``n`` fixed pseudo-random odd uint64 numbers.
-
-    splitmix64's first ``n`` outputs from seed 0, each with its low bit set.
-    """
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z | np.uint64(1)
+def _packed(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` with each row of ``bits`` packed 8 bits a byte into its leading bytes."""
+    packed = np.packbits(bits, axis=1)  # any nonzero value packs as a 1
+    out[:, : packed.shape[1]] = packed
+    return out
 
 
 def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:

@@ -61,7 +61,8 @@ def run_sequences(
     """Run a batch of independent sequences through one reservoir.
 
     Args:
-        inputs: (n_sequences, T, L_in) binary array.
+        inputs: (n_sequences, T, L_in) array of 0s and 1s; any other value
+            is a ValueError.
         params: reservoir parameters; ``mappings`` must match them.
         mappings: the fixed random mappings.
 
@@ -69,12 +70,12 @@ def run_sequences(
         (features, finals): features has shape (n_sequences, T, I*R*L_d);
         finals holds each sequence's last evolved automaton row.
     """
-    x = np.asarray(inputs, dtype=np.uint8)
+    x = np.asarray(inputs)
     if x.ndim != 3 or x.shape[2] != params.input_width:
         raise ValueError(f"inputs must have shape (n, T, {params.input_width})")
     if x.shape[1] < 1:
         raise ValueError("inputs must hold at least one time step")
-    if np.any(x > 1):
+    if not ((x == 0) | (x == 1)).all():
         raise ValueError("inputs must be binary")
     if (
         mappings.input_width != params.input_width

@@ -110,3 +110,15 @@ def test_evaluate_rejects_shape_mismatch():
     tasks = all_patterns(10)
     with pytest.raises(ValueError):
         evaluate(np.zeros((32, 19, 3), dtype=np.uint8), tasks)
+
+
+@pytest.mark.parametrize(
+    "value,dtype", [(256, np.int64), (-1, np.int64), (0.7, np.float64), (2, np.uint8)]
+)
+def test_evaluate_rejects_predictions_other_than_0_or_1(value, dtype):
+    # A cast to uint8 would read 256 as 0 and 0.7 as 0, a match for a 0 target.
+    tasks = all_patterns(3)
+    preds = np.stack([task.targets for task in tasks]).astype(dtype)
+    preds[0, 0, 0] = value
+    with pytest.raises(ValueError, match="only 0s and 1s"):
+        evaluate(preds, tasks)

@@ -155,7 +155,7 @@ def repeated_design(rng, p, k, distinct, n, singles):
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.integers(1, 70),
-    k=st.integers(1, 3),
+    k=st.sampled_from([1, 2, 3, 9]),  # 9: the targets pack into two bytes
     distinct=st.integers(1, 6),
     blocks=st.sampled_from([0, 1, 2]),
     with_singles=st.booleans(),
@@ -174,43 +174,68 @@ def test_fit_of_repeated_rows_equals_exact_integer_oracle(
     assert np.array_equal(fit(x, y).weights, exact_integer_fit(x, y))
 
 
-def test_fit_stays_exact_when_every_row_hash_collides(monkeypatch):
-    # Only the byte check keeps rows with one hash but different bits apart.
-    rng = np.random.default_rng(12)
-    x, y = repeated_design(rng, 37, 3, 5, 4000, 300)
-    row_keys = readout._row_keys
-    monkeypatch.setattr(readout, "_row_keys", lambda x, y: row_keys(x, y) & np.uint64(1))
-    assert np.array_equal(fit(x, y).weights, exact_integer_fit(x, y))
+def test_fit_feeds_each_row_present_twice_once_at_alpha_two(monkeypatch):
+    # Every group holds exactly two rows: the bound must still see that half
+    # of the rows can go, and each group is fed once, at alpha 2.
+    rng = np.random.default_rng(14)
+    n, p, k = 3000, 200, 3
+    rows = np.repeat(rng.integers(0, 2, size=(n, p + k), dtype=np.uint8), 2, axis=0)
+    rows = rows[rng.permutation(2 * n)]
+    x, y = np.ascontiguousarray(rows[:, :p]), np.ascontiguousarray(rows[:, p:])
+    fed = []
+    ssyrk = readout._fblas.ssyrk
+
+    def counting_ssyrk(alpha, a, *args, **kwargs):
+        fed.append((alpha, a.shape[1]))
+        return ssyrk(alpha, a, *args, **kwargs)
+
+    monkeypatch.setattr(readout._fblas, "ssyrk", counting_ssyrk)
+    weights = fit(x, y).weights
+    assert {alpha for alpha, _ in fed} == {2.0}
+    assert sum(rows for _, rows in fed) == n
+    assert np.array_equal(weights, exact_integer_fit(x, y))
+
+
+def test_fit_rejects_a_two_that_packs_like_a_repeated_row():
+    # A 2 packs to a 1 bit: the row that holds it must not be grouped with,
+    # and left out behind, the earlier row of 0s and 1s it would pack like.
+    rng = np.random.default_rng(15)
+    x, y = repeated_design(rng, 37, 3, 5, 4000, 0)
+    twin = int(np.flatnonzero((x == x[0]).all(axis=1) & (y == y[0]).all(axis=1))[-1])
+    assert twin > 0
+    x[twin, np.flatnonzero(x[twin])[0]] = 2
+    with pytest.raises(ValueError, match="only 0s and 1s"):
+        fit(x, y)
 
 
 @pytest.mark.parametrize("repeated_end", ["first", "last"])
 def test_rows_that_repeat_only_at_one_end_are_streamed_whole(monkeypatch, repeated_end):
     # Four patterns in 64 features at one end of each row, random bits at
-    # the other, so no row repeats: the bound over the row ends passes
-    # without result, and no whole row is hashed.
+    # the other, so no row repeats: one row end repeats, but no pair of
+    # ends does, and no whole row is packed.
     rng = np.random.default_rng(13)
     n = 3000
     repeated = rng.integers(0, 2, size=(4, 64), dtype=np.uint8)[rng.integers(0, 4, size=n)]
     random = rng.integers(0, 2, size=(n, 64), dtype=np.uint8)
     x = np.hstack([repeated, random] if repeated_end == "first" else [random, repeated])
     y = rng.integers(0, 2, size=(n, 3), dtype=np.uint8)
-    fed, hashed = [], []
-    ssyrk, row_keys = readout._fblas.ssyrk, readout._row_keys
+    fed, packed = [], []
+    ssyrk, pack = readout._fblas.ssyrk, readout._packed
 
     def counting_ssyrk(alpha, a, *args, **kwargs):
         fed.append((alpha, a.shape[1]))
         return ssyrk(alpha, a, *args, **kwargs)
 
-    def counting_row_keys(x, y):
-        hashed.append(x.shape[1] + y.shape[1])
-        return row_keys(x, y)
+    def counting_pack(bits, out):
+        packed.append(bits.shape[1])
+        return pack(bits, out)
 
     monkeypatch.setattr(readout._fblas, "ssyrk", counting_ssyrk)
-    monkeypatch.setattr(readout, "_row_keys", counting_row_keys)
+    monkeypatch.setattr(readout, "_packed", counting_pack)
     weights = fit(x, y).weights
     assert {alpha for alpha, _ in fed} == {1.0}
     assert sum(rows for _, rows in fed) == n
-    assert max(hashed) == readout.END_FEATURES
+    assert max(packed) == readout.END_FEATURES
     assert np.array_equal(weights, exact_integer_fit(x, y))
 
 

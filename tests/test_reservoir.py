@@ -145,6 +145,18 @@ def test_non_binary_or_empty_inputs_rejected():
         run_sequences(np.zeros((1, 0, 4), dtype=np.uint8), p, ms)
 
 
+@pytest.mark.parametrize(
+    "value,dtype", [(256, np.int64), (-1, np.int64), (0.5, np.float64)]
+)
+def test_inputs_other_than_0_or_1_are_rejected_before_any_cast(value, dtype):
+    # 256 and -1 wrap to 0 and 255 in uint8, and 0.5 truncates to 0.
+    p = params()
+    x = np.zeros((1, 3, 4), dtype=dtype)
+    x[0, 1, 2] = value
+    with pytest.raises(ValueError, match="binary"):
+        run_sequences(x, p, make_mappings(p))
+
+
 def naive_run(x, p, ms):
     """Step-by-step reservoir over reference.naive_step, one sequence at a time."""
     features = np.empty((x.shape[0], x.shape[1], p.feature_length), dtype=np.uint8)
