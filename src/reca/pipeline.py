@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from multiprocessing import get_context, resource_tracker
 
 import numpy as np
 
@@ -235,7 +233,13 @@ def _map_in_pool(jobs: list, workers: int) -> list:
     holds ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``, and the
     parent's values are restored before this returns. No process the pool
     started outlives this call.
+
+    The pool's modules are imported here, not with this module, as a run
+    at one worker never needs them.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context, resource_tracker
+
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     saved = {name: os.environ.get(name) for name in names}
     # The pool's semaphores start multiprocessing's resource tracker process

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -318,8 +319,8 @@ def test_bad_rule_or_seed_flags_run_nothing(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_memory_need_counts_every_worker(monkeypatch, capsys):
-    # One (4,4) run needs about 13 MB: one worker fits in 20 MB, two do not.
-    monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 20 * 10**6)
+    # One (4,4) run needs about 8.5 MB: one worker fits in 12 MB, two do not.
+    monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 12 * 10**6)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []
     monkeypatch.setattr(reca.cli, "run_batches", recording_workers(seen))
@@ -345,7 +346,7 @@ def test_sweep_on_one_usable_cpu_runs_in_process(monkeypatch, capsys):
         raise AssertionError("started a worker pool")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(reca.pipeline, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--distractor", "20", "--runs", "2", "--no-timestamp"]) == 0
     assert "on 1 worker" in capsys.readouterr().err

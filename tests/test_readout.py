@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from reca import readout
 from reca.readout import (
     BLOCK_ELEMENTS,
     MAX_FIT_ROWS,
+    SMALL_BLOCK_ELEMENTS,
     ReadoutModel,
     binarize_array,
     fit,
@@ -307,15 +309,45 @@ def test_predict_is_linear_in_features():
     assert np.allclose(lhs, rhs)
 
 
-@pytest.mark.parametrize("p", [320, 640])
+@pytest.mark.parametrize("p", [320, 640, 2560])
 def test_blocked_predict_equals_dense_product(p):
-    # A row count that is no multiple of the block, so the tail block is short.
+    # A row count that is no multiple of the block, so the tail block is
+    # short. Each output is a sum of the weights of the row's set bits and
+    # the intercept; OpenBLAS's small-matrix kernel adds them in its own
+    # order, so the reference is their exactly rounded sum, and the bound
+    # is the forward error of a (p + 1)-term sum.
     rng = np.random.default_rng(8)
-    n = 3 * (BLOCK_ELEMENTS // p) + 37
+    n = 3 * (SMALL_BLOCK_ELEMENTS // p) + 37
     x = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
     model = ReadoutModel(rng.normal(size=(p + 1, 3)))
-    dense = x.astype(np.float64) @ model.weights[:-1] + model.weights[-1]
-    assert np.array_equal(predict(model, x), dense)
+    u = 2.0**-53
+    gamma = (p + 1) * u / (1 - (p + 1) * u)
+    y = predict(model, x)
+    for row, bits in zip(y, x):
+        terms = np.vstack([model.weights[:-1][bits == 1], model.weights[-1]])
+        for value, column in zip(row, terms.T):
+            exact = math.fsum(column)
+            assert abs(value - exact) <= gamma * math.fsum(abs(column))
+
+
+@pytest.mark.parametrize("p", [640, 2560])
+def test_predict_peak_allocation_is_one_block_and_its_output(p):
+    rng = np.random.default_rng(9)
+    n, k = 20000, 3
+    x = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
+    # F-ordered, as fit returns them
+    model = ReadoutModel(np.asfortranarray(rng.normal(size=(p + 1, k))))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        y = predict(model, x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak >= y.nbytes
+    assert peak <= readout._predict_bytes(n, p, k)
+    # the memory check before a run counts at least what predict holds
+    assert peak <= readout.working_bytes(n, p, k)
 
 
 def test_predict_rejects_wrong_length():
@@ -397,11 +429,23 @@ def test_src_makes_no_numpy_blas_call():
 def test_importing_the_cli_skips_scipy_linalg_and_numpy_test_tools():
     # scipy.linalg's __init__ imports numpy.f2py, numpy.testing and numpy.ma
     # through scipy's array-API support, over half of the CLI's import time.
-    # A fresh interpreter: this one has imported scipy.linalg already.
+    # A layered run at one worker, whose layer-2 fit groups its rows, then
+    # needs neither numpy.ma (np.unique without counts imports it) nor the
+    # worker pool's modules. A fresh interpreter: this one has imported
+    # them all already.
     heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing"]
-    code = f"import sys, reca.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    unused = ["numpy.ma", "multiprocessing", "concurrent.futures"]
+    code = (
+        "import sys, reca.cli\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        "from reca.pipeline import build_config, run_batch\n"
+        "config = build_config(rule=90, iterations=2, mappings=2, diffuse=10, distractor=20,\n"
+        "                      layer2_rule=90)\n"
+        "run_batch(config, 2, workers=1)\n"
+        f"print([m for m in {unused!r} if m in sys.modules])\n"
+    )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=env).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]
