@@ -10,6 +10,15 @@ generalization.
 In the layered variant the binarized 3-bit predictions of layer 1 become
 the input sequences of a second encoder/reservoir/readout stage, fitted
 towards the same targets; the layer-2 evaluation is the deep result.
+
+``run_once`` always runs every layer. The batch runs (``run_batches``,
+``run_batch``) return only verdicts, so they stop before a run's final layer
+when its inputs prove it fails (``prefix_conflict``): two sequences whose
+inputs agree through step t but whose targets differ at t. A reservoir
+starts every sequence from the same zero state and is deterministic, so
+their feature rows at t are equal; the readout maps equal rows to equal
+predictions, and one of the two is wrong whatever the rule, mappings or
+(I,R). The skipped layer's verdict is False, as a full run would find.
 """
 
 from __future__ import annotations
@@ -208,21 +217,76 @@ def _fit_readout(
     return preds, timing
 
 
+def prefix_conflict(inputs: np.ndarray, targets: np.ndarray) -> int | None:
+    """First step at which two sequences share an input prefix but not a target.
+
+    ``inputs`` (n_sequences, T, w) and ``targets`` (n_sequences, T, 3) are a
+    layer's inputs and targets. Returns the smallest t such that two
+    sequences have equal inputs at every step <= t and different targets at
+    t, or None. Such a layer cannot succeed (module docstring).
+
+    Sorted lexicographically by their inputs, the sequences that share a
+    prefix through t are contiguous, so a pair that conflicts at t implies
+    a neighbouring pair that conflicts at t or earlier: comparing neighbours
+    is exact. A pair conflicts iff its targets differ before its inputs do.
+    """
+    n_seq, seq_len = inputs.shape[:2]
+    x = np.ascontiguousarray(inputs, dtype=np.uint8).reshape(n_seq, -1)
+    y = np.ascontiguousarray(targets, dtype=np.uint8).reshape(n_seq, -1)
+    order = np.argsort(x.view(np.dtype((np.void, x.shape[1]))).ravel())
+    a, b = order[:-1], order[1:]
+
+    def first_difference(rows):
+        """Per neighbouring pair, the first step at which they differ; T if none."""
+        differ = rows[a] != rows[b]
+        step = differ.argmax(axis=1) // (rows.shape[1] // seq_len)
+        return np.where(differ.any(axis=1), step, seq_len)
+
+    first_target = first_difference(y)
+    conflicts = first_target[first_target < first_difference(x)]
+    return int(conflicts.min()) if conflicts.size else None
+
+
+def _layer_predictions(config: RunConfig, inputs: np.ndarray, targets: np.ndarray):
+    """Each layer's binarized predictions and timings, in run order.
+
+    Each layer eats the previous layer's predictions. A layer runs only when
+    it is pulled, so a caller that stops pulling skips the layers after it.
+    """
+    for params in config.layers:
+        inputs, timing = _run_layer(inputs, targets, params)
+        yield inputs, timing
+
+
 def run_once(config: RunConfig) -> RunResult:
-    """One full train-and-test run; each layer eats the previous layer's predictions."""
+    """One full train-and-test run, every layer of it, scored layer by layer."""
     tasks, inputs, targets = _task_arrays(config)
     evals = []
     timing = {}
-    for k, params in enumerate(config.layers, start=1):
-        inputs, layer_timing = _run_layer(inputs, targets, params)
-        evals.append(evaluate(inputs, tasks))
+    layers = _layer_predictions(config, inputs, targets)
+    for k, (preds, layer_timing) in enumerate(layers, start=1):
+        evals.append(evaluate(preds, tasks))
         timing.update({f"layer{k}_{name}": v for name, v in layer_timing.items()})
     return RunResult(tuple(evals), timing)
 
 
 def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
+    """One run's per-layer verdicts, equal to ``run_once``'s successes.
+
+    The final layer is not run when ``prefix_conflict`` proves it fails.
+    """
     config, seed = args
-    return tuple(ev.success for ev in run_once(config_with_seed(config, seed)).evals)
+    config = config_with_seed(config, seed)
+    tasks, inputs, targets = _task_arrays(config)
+    layers = _layer_predictions(config, inputs, targets)
+    final = len(config.layers) - 1
+    verdicts = []
+    for k in range(final + 1):
+        if k == final and prefix_conflict(inputs, targets) is not None:
+            return (*verdicts, False)
+        inputs, _ = next(layers)
+        verdicts.append(evaluate(inputs, tasks).success)
+    return tuple(verdicts)
 
 
 def _map_in_pool(jobs: list, workers: int) -> list:
@@ -275,9 +339,16 @@ def run_batches(
     processes, each with one BLAS thread; ``workers=1`` runs them in this
     process. Results are keyed by (config, run index), so the outcome is
     independent of worker scheduling.
+
+    Only verdicts are kept, so a run stops before its final layer when that
+    layer's inputs prove it fails (``prefix_conflict``, module docstring).
+    Its verdict is then False, exactly what ``run_once``, which always runs
+    every layer, would report.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(config, config.run_seed + i) for config in configs for i in range(n_runs)]
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -294,7 +365,8 @@ def run_batch(config: RunConfig, n_runs: int, workers: int = 1) -> BatchResult:
     """Execute ``n_runs`` runs with seeds run_seed, run_seed+1, ...
 
     Results are keyed by run index, so the outcome is independent of worker
-    scheduling.
+    scheduling. As in ``run_batches``, a run skips a final layer that its
+    inputs prove fails; the verdicts equal ``run_once``'s.
     """
     return run_batches([config], n_runs, workers)[0]
 

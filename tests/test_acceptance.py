@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete. The statistical criteria replicate randomized
-benchmark percentages, so they run hundreds of full train-and-test runs and
-take on the order of 10-20 minutes in total on one core.
+benchmark percentages, so they run 1,330 train-and-test runs in this
+process; criteria 1-5 took 127 s in total on a 2-vCPU VM with OpenBLAS.
 """
 
 import os

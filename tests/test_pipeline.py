@@ -14,7 +14,9 @@ from reca.pipeline import (
     RunConfig,
     build_config,
     config_with_seed,
+    prefix_conflict,
     run_batch,
+    run_batches,
     run_once,
     space_time_grids,
 )
@@ -99,14 +101,109 @@ def test_run_batch_single_run_rate_is_zero_or_hundred():
     assert batch.rates[0] in (0.0, 100.0)
 
 
-def test_run_batch_uses_sequential_seeds():
-    config = build_config(rule=90, iterations=4, mappings=4, **FAST)
-    batch = run_batch(config, 4)
+@pytest.mark.parametrize("layered", [False, True])
+def test_run_batch_uses_sequential_seeds(monkeypatch, layered):
+    # Layered, layer 1's predictions hold a prefix conflict on 1 of these 8
+    # seeds, so that run's final layer is skipped.
+    config = build_config(rule=90, iterations=4, mappings=4,
+                          layer2_rule=90 if layered else None, **dict(FAST, seed=0))
     expected = [
-        run_once(config_with_seed(config, config.run_seed + i)).layer1_eval.success
-        for i in range(4)
+        [ev.success for ev in run_once(config_with_seed(config, config.run_seed + i)).evals]
+        for i in range(8)
     ]
-    assert batch.successes == (expected,)
+    layer_runs = []
+    run_sequences = reca.pipeline.run_sequences
+
+    def counting_run_sequences(*args, **kwargs):
+        layer_runs.append(args[0].shape)
+        return run_sequences(*args, **kwargs)
+
+    monkeypatch.setattr(reca.pipeline, "run_sequences", counting_run_sequences)
+    batch = run_batch(config, 8)
+    assert batch.successes == tuple(list(layer) for layer in zip(*expected))
+    assert layer_runs.count((32, 30, 4)) == 8  # layer 1 always runs
+    skipped = 8 * len(config.layers) - len(layer_runs)
+    assert skipped == (1 if layered else 0)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_batches_rejects_fewer_than_one_worker(monkeypatch, workers):
+    def no_run(job):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(reca.pipeline, "_batch_worker", no_run)
+    config = build_config(rule=90, iterations=2, mappings=2, **FAST)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_batches([config], 2, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_batch(config, 2, workers=workers)
+
+
+def conflict_arrays(seq_len=8, width=5):
+    """Inputs that differ between every two sequences at step 0, random targets."""
+    rng = np.random.default_rng(16)
+    inputs = rng.integers(0, 2, size=(32, seq_len, width), dtype=np.uint8)
+    inputs[:, 0, :] = (np.arange(32)[:, None] >> np.arange(width)) & 1
+    targets = rng.integers(0, 2, size=(32, seq_len, 3), dtype=np.uint8)
+    return inputs, targets
+
+
+def test_prefix_conflict_fires_on_a_shared_prefix_and_a_target_difference():
+    inputs, targets = conflict_arrays()
+    assert prefix_conflict(inputs, targets) is None
+    for t in (0, 3, 7):
+        a, b = inputs.copy(), targets.copy()
+        a[17, : t + 1] = a[3, : t + 1]
+        b[17, :t] = b[3, :t]
+        b[17, t] = 1 - b[3, t]
+        assert prefix_conflict(a, b) == t
+
+
+def test_prefix_conflict_is_silent_when_the_inputs_split_first():
+    inputs, targets = conflict_arrays()
+    t = 5
+    for split in (1, 4):  # steps before t at which the inputs differ
+        a, b = inputs.copy(), targets.copy()
+        a[17, : t + 1] = a[3, : t + 1]
+        a[17, split, 0] = 1 - a[3, split, 0]
+        b[17, : t + 1] = b[3, : t + 1]
+        b[17, t] = 1 - b[3, t]  # equal inputs at t alone prove nothing
+        assert prefix_conflict(a, b) is None
+
+
+def test_prefix_conflict_is_silent_when_the_targets_agree():
+    inputs, targets = conflict_arrays()
+    inputs[17] = inputs[3]
+    targets[17] = targets[3]
+    assert prefix_conflict(inputs, targets) is None
+
+
+def test_prefix_conflict_is_the_first_conflict_over_all_pairs():
+    rng = np.random.default_rng(17)
+    fired = 0
+    for _ in range(40):
+        # two input bits a step, so many sequences share short prefixes
+        inputs = rng.integers(0, 2, size=(32, 8, 2), dtype=np.uint8)
+        # targets that follow from the input prefix, then a few flipped bits
+        targets = np.repeat(np.bitwise_xor.accumulate(inputs[..., :1], axis=1), 3, axis=2)
+        for _ in range(rng.integers(0, 3)):
+            targets[rng.integers(32), rng.integers(8), rng.integers(3)] ^= 1
+        same_prefix = np.logical_and.accumulate(
+            (inputs[:, None] == inputs[None]).all(axis=3), axis=2)
+        differ = (targets[:, None] != targets[None]).any(axis=3)
+        steps = np.flatnonzero((same_prefix & differ).any(axis=(0, 1)))
+        expected = int(steps[0]) if steps.size else None
+        assert prefix_conflict(inputs, targets) == expected
+        fired += expected is not None
+    assert 10 < fired < 30
+
+
+@pytest.mark.parametrize("distractor", [1, 20, 200])
+def test_prefix_conflict_never_fires_on_the_task_inputs(distractor):
+    tasks = all_patterns(distractor)
+    inputs = np.stack([task.inputs for task in tasks])
+    targets = np.stack([task.targets for task in tasks])
+    assert prefix_conflict(inputs, targets) is None
 
 
 def test_run_batch_parallel_matches_serial():

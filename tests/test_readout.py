@@ -431,17 +431,19 @@ def test_importing_the_cli_skips_scipy_linalg_and_numpy_test_tools():
     # through scipy's array-API support, over half of the CLI's import time.
     # A layered run at one worker, whose layer-2 fit groups its rows, then
     # needs neither numpy.ma (np.unique without counts imports it) nor the
-    # worker pool's modules. A fresh interpreter: this one has imported
-    # them all already.
+    # worker pool's modules. run_once runs every layer; run_batch may skip
+    # a layer 2 that cannot succeed. A fresh interpreter: this one has
+    # imported them all already.
     heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing"]
     unused = ["numpy.ma", "multiprocessing", "concurrent.futures"]
     code = (
         "import sys, reca.cli\n"
         f"print([m for m in {heavy!r} if m in sys.modules])\n"
-        "from reca.pipeline import build_config, run_batch\n"
+        "from reca.pipeline import build_config, run_batch, run_once\n"
         "config = build_config(rule=90, iterations=2, mappings=2, diffuse=10, distractor=20,\n"
         "                      layer2_rule=90)\n"
         "run_batch(config, 2, workers=1)\n"
+        "run_once(config)\n"
         f"print([m for m in {unused!r} if m in sys.modules])\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
