@@ -205,6 +205,8 @@ def _sweep_tables(cfg: dict):
     if not rules or not combos:
         raise ConfigError("sweep needs at least one rule and one (I, R) combo")
     n_runs = cfg.get("runs", 100)
+    if n_runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {n_runs}")
     cells = [(rule, i_, r_) for rule in rules for i_, r_ in combos]
     workers = cfg.get("workers")
     workers = _usable_cpus() if workers is None else workers

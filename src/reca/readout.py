@@ -10,11 +10,12 @@ Both ``fit`` and ``predict`` stream the design matrix in row blocks, so
 neither holds a float copy of all of it; ``fit`` streams each distinct row of
 ``[X Y]`` once, weighted by its count, when many repeat.
 
-All BLAS and LAPACK work is four routines of scipy's OpenBLAS: ``ssyrk`` and
-``dgemm`` from the compiled ``scipy.linalg._fblas``, ``dpotrf`` and ``dpotrs``
-from ``scipy.linalg._flapack`` (both shipped since scipy 1.10). numpy's ``@``
-would run in numpy's own OpenBLAS, and two OpenBLAS thread pools in one
-process spin against each other. The two modules are loaded from scipy's
+All BLAS and LAPACK work is five routines of scipy's OpenBLAS: ``ssyrk``
+and ``dgemm`` from the compiled ``scipy.linalg._fblas``; ``strttf``,
+``dpftrf`` and ``dtfsm`` from ``scipy.linalg._flapack`` (both shipped since
+scipy 1.10). numpy's ``@`` would run in numpy's own OpenBLAS, and two
+OpenBLAS thread pools in one process spin against each other. The two
+modules are loaded from scipy's
 ``linalg`` directory directly, so ``scipy/linalg/__init__.py`` never runs: its
 array-API support imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``,
 and on a 2-vCPU VM ``scipy.linalg`` took 181 ms of a 271 ms ``import
@@ -33,7 +34,7 @@ import scipy
 
 RIDGE_SCALE = 1e-8
 BLOCK_ELEMENTS = 2**19  # values fit converts to float32, or packs to bits, per block
-SMALL_BLOCK_ELEMENTS = 2**16  # values predict maps, or fit widens, per block: 0.5 MB of float64
+SMALL_BLOCK_ELEMENTS = 2**16  # values predict maps per block: 0.5 MB of float64
 MAX_FIT_ROWS = 2**24  # float32 counts are exact below this
 SKIP_FRACTION = 16  # skip repeated rows only if at least 1/16 of all rows can go
 END_FEATURES = 64  # features at each end of a row packed first, to bound its repeats
@@ -56,7 +57,7 @@ def _load_linalg_module(name: str) -> ModuleType:
 
 
 _fblas = _load_linalg_module("_fblas")  # ssyrk, dgemm
-_flapack = _load_linalg_module("_flapack")  # dpotrf, dpotrs
+_flapack = _load_linalg_module("_flapack")  # strttf, dpftrf, dtfsm
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +94,17 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
 
     The fed rows are copied in blocks of about ``BLOCK_ELEMENTS`` values
     into the head of one buffer, and one ``ssyrk`` per block adds their Gram
-    matrix to the upper triangle of the float32 Gram at its tail. The head
-    then becomes the float64 normal matrix, and the Gram is widened into it
-    in place, so the fit holds about max(8 (p + 1)^2, 4 m (m + block rows))
-    bytes beside its inputs, m = p + 1 + k, and the grouping of its rows up
-    to about N (p + k) / 2 bytes (``working_bytes``). The solve is float64.
+    matrix to the upper triangle of the float32 Gram at its tail. ``strttf``
+    then packs that triangle, m = p + 1 + k columns, into LAPACK's
+    rectangular full packed (RFP) format, m (m + 1) / 2 values, and the
+    packed triangle is widened to float64 into the buffer's head. The solve
+    is float64: the ridge goes on the first p + 1 diagonal entries and a
+    shift of N + 1 on the last k, ``dpftrf`` factors the whole matrix, and
+    two triangular solves with its factor (``dtfsm``) give the weights. So
+    the fit holds 4 m (m + block rows) bytes, and the 2 m (m + 1) bytes of
+    the packed float32 copy, beside its inputs, and the grouping of its rows
+    up to about N (p + k) / 2 bytes (``working_bytes``); never a (p + 1)^2
+    square.
     """
     x = np.asarray(features)
     y = np.asarray(targets)
@@ -138,54 +145,69 @@ def fit(features: np.ndarray, targets: np.ndarray, ridge: float = RIDGE_SCALE) -
             rows.sort()
             gram = _add_gram(gram, block_buffer, x, y, rows, size)
     del block_buffer
-    a = buffer[: q * q].reshape(q, q, order="F")
-    b = np.array(gram[:q, q:], dtype=np.float64, order="F")
-    step = _widen_columns(q)
-    for j in range(0, q, step):
-        columns = slice(j, min(j + step, q))
-        # These columns of ``a`` overlap their own source. numpy would buffer
-        # the overlap itself, but in float64; the float32 copy is half that.
-        a[:, columns] = gram[:q, columns].copy(order="F")
+    # X^T Y, copied before packing: in the RFP array (and in the factor) it
+    # is one slice only while the Y columns sit in its second half, and at
+    # p = 1, k = 9 they do not.
+    b = np.zeros((m, k), dtype=np.float64, order="F")
+    b[:q] = gram[:q, q:]
+    packed, info = _flapack.strttf(gram)  # its own array: the upper triangle, packed
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of strttf")
     del gram
+    a = buffer[: m * (m + 1) // 2]
+    a[:] = packed
+    del packed
 
-    # Only the upper triangle of ``a`` is ever read (dpotrf with lower=0), so
-    # the Gram matrix is not mirrored, and the factor is in place.
-    alpha = ridge * np.trace(a) / q
-    a[np.diag_indices_from(a)] += alpha
+    diagonal = _rfp_diagonal(m)
+    alpha = ridge * a[diagonal[:q]].sum() / q
+    a[diagonal[:q]] += alpha
+    # The trailing (Y) block's Schur complement is Y^T Y less its fitted part,
+    # zero when a target is fitted exactly; the shift keeps it positive and
+    # moves neither the leading factor nor W.
+    a[diagonal[q:]] += x.shape[0] + 1
 
-    factor, info = _flapack.dpotrf(a, lower=0, overwrite_a=1, clean=0)
+    factor, info = _flapack.dpftrf(m, a, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
         )
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    weights, info = _flapack.dpotrs(factor, b, lower=0)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return ReadoutModel(weights)
+        raise ValueError(f"illegal value in argument {-info} of dpftrf")
+    # With U^T U the factor, U^T z = [X^T Y; 0] gives z's first q rows as
+    # U11^-T X^T Y; with the rest set to 0, U w = z gives w's first q rows as
+    # the solution of the leading q x q system, and its last k rows as 0.
+    b = _flapack.dtfsm(1.0, factor, b, trans="T", overwrite_b=1)
+    b[q:] = 0.0
+    b = _flapack.dtfsm(1.0, factor, b, overwrite_b=1)
+    return ReadoutModel(b[:q].copy(order="F"))
 
 
 def _fit_layout(n_fed: int, p: int, k: int) -> tuple[int, int]:
     """Rows per block and float64 words of ``fit``'s one buffer, for ``n_fed`` fed rows.
 
-    The F-ordered float32 Gram of [X 1 Y] sits at the buffer's tail, from
-    byte t on, and the row blocks are copied into its head, which later
-    becomes the F-ordered float64 normal matrix ``a``. Column j of ``a``
-    ends at byte 8q(j + 1), and Gram column j + 1 starts at byte
-    t + 4m(j + 1); t >= 4(q - k)(q - 1) keeps the first at or below the
-    second for every j + 1 < q, so widening the columns from the left never
-    overwrites one still unread.
+    The F-ordered float32 Gram of [X 1 Y] (4 m^2 bytes) sits at the
+    buffer's tail and the float32 row blocks (4 m r bytes, r rows) at its
+    head, so they never overlap. Once the Gram is packed into an array of
+    its own, the buffer's head takes the packed triangle widened to float64,
+    8 m (m + 1) / 2 bytes.
     """
-    q, m = p + 1, p + 1 + k
+    m = p + 1 + k
     block_rows = min(n_fed, max(1, BLOCK_ELEMENTS // m))
-    size = max(8 * q * q, 4 * m * m + 4 * max(q - k, 0) * (q - 1), 4 * m * (m + block_rows))
+    size = max(4 * m * (m + block_rows), 8 * (m * (m + 1) // 2))
     return block_rows, -(-size // 8)
 
 
-def _widen_columns(q: int) -> int:
-    """Columns of the Gram widened to float64 at a time, through a float32 copy."""
-    return max(1, SMALL_BLOCK_ELEMENTS // q)
+def _rfp_diagonal(n: int) -> np.ndarray:
+    """Indices of an n x n matrix's diagonal in LAPACK's RFP array (TRANSR 'N', UPLO 'U').
+
+    The array is lda = n + 1 (n even) or n (n odd) rows by n - n // 2
+    columns, F-ordered. With n1 = n // 2, diagonal entry j < n1 sits at row
+    lda - n1 + j, column j; entry j >= n1 at row j, column j - n1.
+    """
+    n1 = n // 2
+    lda = n + 1 - n % 2
+    j = np.arange(n)
+    return (lda + 1) * j + np.where(j < n1, lda - n1, -lda * n1)
 
 
 def working_bytes(n_rows: int, feature_length: int, output_width: int) -> int:
@@ -193,16 +215,16 @@ def working_bytes(n_rows: int, feature_length: int, output_width: int) -> int:
 
     ``fit``: grouping the rows (``_row_groups``) holds up to four packed
     copies of them and six 8-byte words a row; then its one buffer
-    (``_fit_layout``, every row fed), the float32 columns it widens through,
-    ``b``, and the fed rows' indices and group sizes with one size's mask
-    and indices. ``predict``: ``_predict_bytes``. No two of these run at
-    once.
+    (``_fit_layout``, every row fed), the float32 packed triangle that
+    ``strttf`` returns (4 m (m + 1) / 2 bytes), ``b`` and the weights, and
+    the fed rows' indices and group sizes with one size's mask and indices.
+    ``predict``: ``_predict_bytes``. No two of these run at once.
     """
     p, k = feature_length, output_width
-    q = p + 1
+    q, m = p + 1, p + 1 + k
     group_bytes = n_rows * (4 * (-(-p // 8) + -(-k // 8)) + 48)
     _, words = _fit_layout(n_rows, p, k)
-    fit_bytes = 8 * words + 4 * q * _widen_columns(q) + 8 * q * k + 25 * n_rows
+    fit_bytes = 8 * words + 4 * (m * (m + 1) // 2) + 8 * (m + q) * k + 25 * n_rows
     return max(group_bytes, fit_bytes, _predict_bytes(n_rows, p, k))
 
 

@@ -219,6 +219,21 @@ def test_sweep_rejects_workers_below_one(monkeypatch, capsys, workers):
     assert calls == []
 
 
+@pytest.mark.parametrize("source", ["--runs 0", "--runs -2", "config"])
+def test_sweep_rejects_runs_below_one_before_the_banner(tmp_path, monkeypatch, capsys, source):
+    # Checked before the worker count, the memory check and the banner.
+    for name in ("run_batches", "_check_memory"):
+        monkeypatch.setattr(reca.cli, name, refuse_to_run)
+    if source == "config":
+        argv = ["sweep", "--config", write_config(tmp_path / "cfg.json", rule=90, runs=0)]
+    else:
+        argv = ["sweep", "--rule", "90", *source.split()]
+    assert main([*argv, "--iterations", "2", "--mappings", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "runs must be >= 1" in err
+    assert "sweep:" not in err
+
+
 def recording_workers(seen):
     """A ``run_batches`` stub that records its worker count; every run succeeds."""
 
@@ -319,7 +334,7 @@ def test_bad_rule_or_seed_flags_run_nothing(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_memory_need_counts_every_worker(monkeypatch, capsys):
-    # One (4,4) run needs about 8.5 MB: one worker fits in 12 MB, two do not.
+    # One (4,4) run needs about 9.1 MB: one worker fits in 12 MB, two do not.
     monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 12 * 10**6)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reca import readout
+from reca import pipeline, readout
 from reca.readout import (
     BLOCK_ELEMENTS,
     MAX_FIT_ROWS,
@@ -21,7 +21,13 @@ from reca.readout import (
     fit,
     predict,
 )
-from reference import exact_integer_fit, normal_equations_fit, normal_equations_predict
+from reca.reservoir import make_mappings, run_sequences
+from reference import (
+    exact_integer_fit,
+    exact_ridge_bits,
+    normal_equations_fit,
+    normal_equations_predict,
+)
 
 
 def random_batch(rng, n=50, p=20, k=3):
@@ -142,6 +148,24 @@ def test_unregularized_fit_of_an_all_zero_column_is_not_positive_definite():
     x[:, 5] = 0
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         fit(x, y, ridge=0.0)
+
+
+def test_unregularized_fit_of_targets_that_are_exact_features_does_not_raise():
+    # Targets that the features fit exactly, among them an all-zero one,
+    # leave a zero Schur complement in the Y block of the [X 1 Y] normal
+    # matrix: only the shift on its diagonal lets the factorization through.
+    x, _ = random_batch(np.random.default_rng(23))
+    y = np.column_stack([x[:, 0], 1 - x[:, 1], np.zeros(len(x), dtype=np.uint8)])
+    model = fit(x, y, ridge=0.0)
+    assert np.abs(predict(model, x) - y).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rfp_diagonal_matches_dtrttf(n):
+    # Odd and even orders: LAPACK lays the two out differently.
+    packed, info = readout._flapack.dtrttf(np.diag(np.arange(1.0, n + 1)))
+    assert info == 0
+    assert np.array_equal(packed[readout._rfp_diagonal(n)], np.arange(1.0, n + 1))
 
 
 def repeated_design(rng, p, k, distinct, n, singles):
@@ -265,6 +289,23 @@ def test_fit_peak_allocation_is_the_normal_matrix_and_one_block(distinct):
     assert peak <= readout.working_bytes(n, p, k)
 
 
+def test_wide_fit_peak_is_below_the_square_normal_matrix():
+    # At the paper's (8,8) width the fit holds the packed triangle of the
+    # [X 1 Y] Gram, never a (p + 1)^2 float64 square.
+    rng = np.random.default_rng(24)
+    n, p, k = 300, 2560, 3
+    x, y = random_batch(rng, n=n, p=p, k=k)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (p + 1) ** 2
+    assert peak <= readout.working_bytes(n, p, k)
+
+
 def test_fit_peak_allocation_is_below_the_design_size():
     rng = np.random.default_rng(11)
     x, y = random_batch(rng, n=20000, p=640, k=3)
@@ -276,6 +317,35 @@ def test_fit_peak_allocation_is_below_the_design_size():
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes
+
+
+def test_exact_ridge_oracle_matches_a_float_solve_away_from_ties():
+    rng = np.random.default_rng(25)
+    x, y = random_batch(rng, n=40, p=6, k=2)
+    ridge = 1e-2
+    y_hat = normal_equations_predict(normal_equations_fit(x, y, ridge=ridge), x)
+    assert np.abs(y_hat - 0.5).min() > 1e-6
+    alpha = ridge * float(x.sum() + len(x)) / (x.shape[1] + 1)
+    assert np.array_equal(exact_ridge_bits(x, y, alpha), binarize_array(y_hat))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_readout_bits_equal_exact_arithmetic_on_a_design_with_ties(seed):
+    # Layer 2 of a layered rule-180 (8,8) run: 50 (seed 1) and 27 (seed 2)
+    # distinct rows, and 320 bits whose ŷ is within 1e-6 of 1/2, where the
+    # ridge alone decides the bit. Every production bit must be the bit of
+    # the exact ridge solution at the production alpha.
+    config = pipeline.build_config(180, 8, 8, layer2_rule=180, seed=seed)
+    _, inputs, targets = pipeline._task_arrays(config)
+    layer1, _ = pipeline._run_layer(inputs, targets, config.layer1)
+    features, _ = run_sequences(layer1, config.layer2, make_mappings(config.layer2))
+    x = features.reshape(-1, features.shape[-1])
+    y = targets.reshape(len(x), -1)
+    y_hat = predict(fit(x, y), x)
+    assert np.count_nonzero(np.abs(y_hat - 0.5) < 1e-6) >= 100
+    # fit's alpha: the ridge times the trace of [X 1]^T [X 1] over p + 1
+    alpha = readout.RIDGE_SCALE * float(x.sum(dtype=np.int64) + len(x)) / (x.shape[1] + 1)
+    assert np.array_equal(binarize_array(y_hat), exact_ridge_bits(x, y, alpha))
 
 
 def test_fit_rejects_row_counts_past_float32_exactness():
