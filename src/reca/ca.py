@@ -4,6 +4,11 @@ Cells are binary and live on a 1-D ring (wrap-around boundary). A rule is
 one of the 256 elementary transition tables, numbered the standard Wolfram
 way: bit n of the rule number is the output for the neighborhood whose
 three cells read as the binary number n (left*4 + center*2 + right*1).
+
+There is one update kernel, :class:`LaneStepper`, which steps 32 automata
+per ``uint32`` word through the rule's algebraic normal form. :func:`evolve`
+packs rows into its lanes and unpacks the evolved rows; :func:`step_rows`
+is one update of :func:`evolve`.
 """
 
 from __future__ import annotations
@@ -55,15 +60,14 @@ def rule_from_table(table: np.ndarray) -> Rule:
 def step_rows(states: np.ndarray, rule: Rule) -> np.ndarray:
     """Advance a batch of rows (shape (n, width)) by one update each.
 
-    Rows are independent automata; the ring wraps within each row.
+    Rows are independent automata; the ring wraps within each row. This is
+    :func:`evolve` for one time step that writes every cell, with I = 1.
     """
-    s = np.asarray(states, dtype=np.uint8)
+    s = np.asarray(states)
     if s.ndim != 2:
         raise ValueError("states must be two-dimensional")
-    if s.shape[1] < MIN_WIDTH:
-        raise ValueError(f"state width must be >= {MIN_WIDTH}, got {s.shape[1]}")
-    idx = (np.roll(s, 1, axis=1) << 2) | (s << 1) | np.roll(s, -1, axis=1)
-    return rule.table[idx]
+    width = s.shape[1]
+    return evolve(s[:, None], np.arange(width), rule, 1, width)[:, 0]
 
 
 def anf_terms(rule: Rule) -> tuple[int, ...]:
@@ -92,6 +96,8 @@ class LaneStepper:
     """
 
     def __init__(self, rule: Rule, groups: int, width: int):
+        if width < MIN_WIDTH:
+            raise ValueError(f"state width must be >= {MIN_WIDTH}, got {width}")
         self._ring = np.zeros((groups, width + 2), dtype=np.uint32)
         self.state = self._ring[:, 1:-1]  # (groups, width); writable view
         cells = {4: self._ring[:, :-2], 2: self.state, 1: self._ring[:, 2:]}
@@ -129,6 +135,67 @@ def _monomial(factors: list[np.ndarray], dest: np.ndarray) -> np.ndarray:
     for factor in factors[2:]:
         np.bitwise_and(dest, factor, out=dest)
     return dest
+
+
+def evolve(
+    inputs: np.ndarray, positions: np.ndarray, rule: Rule, iterations: int, width: int
+) -> np.ndarray:
+    """Drive ``n`` automata of ``width`` cells over ``T`` input steps.
+
+    At step t the input ``inputs[:, t]`` is written onto the cells at
+    ``positions`` (onto zeros at t = 0, onto the previous step's last
+    iteration afterwards), then ``rule`` is applied ``iterations`` times.
+
+    Args:
+        inputs: (n, T, L_in) array of 0s and 1s; any other value is a
+            ValueError.
+        positions: the cells the input is written onto, ``R*L_in`` of them:
+            R copies of the input, one after the other.
+        rule: the rule every automaton follows.
+        iterations: updates per time step (I >= 1).
+        width: cells per automaton.
+
+    Returns:
+        (n, T, I*width) uint8: the I evolved rows of every step, concatenated.
+    """
+    x = np.asarray(inputs)
+    if not ((x == 0) | (x == 1)).all():
+        raise ValueError("inputs must be binary")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    n_seq, seq_len, input_width = x.shape
+    groups = -(-n_seq // LANES)
+
+    # Sequence s = LANES*g + j is bit j of the words of lane group g.
+    lanes = np.zeros((groups * LANES, seq_len, input_width), dtype=np.uint8)
+    lanes[:n_seq] = x
+    packed = np.packbits(
+        lanes.reshape(groups, LANES, seq_len, input_width), axis=1, bitorder="little"
+    )
+    words = np.ascontiguousarray(packed.transpose(2, 0, 3, 1)).view("<u4")[..., 0]
+    tiled = np.tile(words, (1, 1, len(positions) // input_width))  # (T, groups, R*L_in)
+
+    stepper = LaneStepper(rule, groups, width)
+    history = np.empty((seq_len, iterations, groups, width), dtype=np.uint32)
+    for t in range(seq_len):
+        stepper.state[:, positions] = tiled[t]
+        for k in range(iterations):
+            stepper.advance(history[t, k])
+
+    # Byte b of a word holds lanes 8b..8b+7: split the words into contiguous
+    # (T, I, width) byte planes, then peel one bit per sequence off them.
+    as_bytes = history.astype("<u4", copy=False).view(np.uint8)
+    planes = np.ascontiguousarray(
+        as_bytes.reshape(seq_len, iterations, groups, width, 4).transpose(2, 4, 0, 1, 3)
+    )
+    features = np.empty((n_seq, seq_len, iterations * width), dtype=np.uint8)
+    shifted = np.empty(planes.shape[2:], dtype=np.uint8)
+    for s in range(n_seq):
+        group, lane = divmod(s, LANES)
+        byte, bit = divmod(lane, 8)
+        np.right_shift(planes[group, byte], bit, out=shifted)
+        np.bitwise_and(shifted, 1, out=features[s].reshape(shifted.shape))
+    return features
 
 
 def lambda_param(rule: Rule) -> float:

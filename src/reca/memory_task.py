@@ -27,10 +27,6 @@ class TaskSequence:
     targets: np.ndarray  # (T, 3) uint8
     distractor: int
 
-    @property
-    def length(self) -> int:
-        return self.inputs.shape[0]
-
 
 @dataclass(frozen=True)
 class EvaluationResult:

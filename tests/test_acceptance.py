@@ -96,7 +96,7 @@ def test_criterion_9_task_structure():
     tasks = all_patterns(200)
     ok = len(tasks) == 32
     for task in tasks:
-        ok = ok and task.length == 210
+        ok = ok and task.inputs.shape[0] == 210
         ok = ok and bool(np.all(task.inputs.sum(axis=1) == 1))
         ok = ok and bool(np.all(task.targets.sum(axis=1) == 1))
         ok = ok and np.flatnonzero(task.inputs[:, 3]).tolist() == [204]

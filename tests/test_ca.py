@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from reca import ca
 from reca.ca import (
-    LANES,
-    LaneStepper,
     anf_terms,
     complement_rule,
     lambda_param,
@@ -12,8 +11,6 @@ from reca.ca import (
     rule_from_table,
     step_rows,
 )
-from reca.encoding import MappingSet
-from reca.reservoir import ReservoirParams, run_sequences
 from reference import naive_step
 
 
@@ -23,15 +20,13 @@ def step(state, rule):
 
 
 def evolve(state, rule, iterations):
-    """The ``iterations`` rows that ``run_sequences`` evolves from ``state``.
+    """The ``iterations`` rows that ``ca.evolve`` evolves from ``state``.
 
-    One time step whose input fills the whole automaton through the identity
-    mapping, so the encoded state is ``state`` itself.
+    One time step whose input fills the whole automaton, so the encoded
+    state is ``state`` itself.
     """
     width = len(state)
-    params = ReservoirParams(rule.number, iterations, 1, width, width, seed=0)
-    mappings = MappingSet(width, width, np.arange(width)[None])
-    features, _ = run_sequences(np.asarray(state)[None, None], params, mappings)
+    features = ca.evolve(np.asarray(state)[None, None], np.arange(width), rule, iterations, width)
     return features.reshape(iterations, width)
 
 
@@ -104,12 +99,21 @@ def test_step_matches_naive_oracle():
 
 
 def test_step_rows_matches_step():
-    # Rows are independent automata: each wraps on its own ring.
+    # Rows are independent automata: each wraps on its own ring. 31, 33 and
+    # 70 rows fill one, two and three 32-lane groups, the last one partly.
     rng = np.random.default_rng(7)
-    states = rng.integers(0, 2, size=(10, 33), dtype=np.uint8)
-    batched = step_rows(states, make_rule(110))
-    for i in range(10):
-        assert np.array_equal(batched[i], naive_step(states[i], 110))
+    for n_rows in (1, 31, 33, 70):
+        states = rng.integers(0, 2, size=(n_rows, 11), dtype=np.uint8)
+        for number in range(256):
+            batched = step_rows(states, make_rule(number))
+            expected = np.stack([naive_step(row, number) for row in states])
+            assert np.array_equal(batched, expected), (n_rows, number)
+
+
+def test_step_rows_rejects_non_binary_states():
+    states = np.array([[0, 1, 2, 0, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="binary"):
+        step_rows(states, make_rule(90))
 
 
 def test_evolve_single_iteration():
@@ -209,21 +213,3 @@ def test_step_is_deterministic():
 )
 def test_anf_of_linear_rules_and_complements(number, terms):
     assert anf_terms(make_rule(number)) == terms
-
-
-def test_lane_stepper_matches_naive_oracle_for_every_rule():
-    rng = np.random.default_rng(11)
-    width = 9
-    rows = rng.integers(0, 2, size=(2 * LANES, width), dtype=np.uint8)
-    # Lane j of group g holds row LANES*g + j.
-    words = (rows.reshape(2, LANES, width).astype(np.uint32)
-             << np.arange(LANES, dtype=np.uint32)[:, None]).sum(axis=1, dtype=np.uint32)
-    for number in range(256):
-        stepper = LaneStepper(make_rule(number), 2, width)
-        stepper.state[...] = words
-        out = np.empty((2, width), dtype=np.uint32)
-        stepper.advance(out)
-        lanes = (out[:, None, :] >> np.arange(LANES, dtype=np.uint32)[:, None]) & 1
-        expected = np.stack([naive_step(row, number) for row in rows])
-        assert np.array_equal(lanes.reshape(2 * LANES, width), expected), number
-        assert np.array_equal(stepper.state, out)

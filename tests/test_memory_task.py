@@ -5,8 +5,8 @@ from reca.memory_task import all_patterns, evaluate, generate
 
 
 def test_sequence_length():
-    assert generate(0, 200).length == 210
-    assert generate(0, 3).length == 13
+    assert generate(0, 200).inputs.shape[0] == 210
+    assert generate(0, 3).inputs.shape[0] == 13
 
 
 def test_cue_position_short_distractor():
@@ -36,7 +36,7 @@ def test_message_encoding_big_endian():
 def test_distractor_signal_holds_except_cue():
     seq = generate(3, 20)
     cue = 20 + 5
-    for t in range(5, seq.length):
+    for t in range(5, seq.inputs.shape[0]):
         if t == cue - 1:
             assert seq.inputs[t].tolist() == [0, 0, 0, 1]
         else:

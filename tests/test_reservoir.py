@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reca.memory_task import MESSAGE_LEN, all_patterns
 from reca.reservoir import ReservoirParams, make_mappings, run_sequences
 from reference import naive_step
 
@@ -196,3 +197,33 @@ def test_packed_lanes_match_naive_stepper(
     assert features.dtype == np.uint8 and finals.dtype == np.uint8
     assert np.array_equal(features, expected_features)
     assert np.array_equal(finals, expected_finals)
+
+
+def superposition_holds(rule):
+    """Whether every pattern's features are F_0 xor the sum of m_k (F_{e_k} xor F_0).
+
+    F_m are the features of the task pattern whose message is m, e_k the
+    message with only bit k set. Writing an input bit and its complement is
+    affine in m over GF(2), so for an affine rule all 32 feature arrays
+    follow from the six of the messages 0 and e_k.
+    """
+    p = params(rule=rule, iterations=2, mappings=4, diffuse=10)
+    inputs = np.stack([task.inputs for task in all_patterns(6)])
+    features, _ = run_sequences(inputs, p, make_mappings(p))
+    messages = inputs[:, :MESSAGE_LEN, 0]
+    index = {tuple(m): s for s, m in enumerate(messages.tolist())}
+    zero = features[index[(0,) * MESSAGE_LEN]]
+    units = features[[index[tuple(e)] for e in np.eye(MESSAGE_LEN, dtype=int).tolist()]]
+    terms = messages[:, :, None, None] * (units ^ zero)[None]
+    return np.array_equal(features, zero ^ np.bitwise_xor.reduce(terms, axis=1))
+
+
+@pytest.mark.parametrize("rule", [90, 150, 60, 102, 105, 153, 165, 195])
+def test_affine_rules_superpose_over_gf2(rule):
+    # An oracle of the packed reservoir that does not step any row itself.
+    assert superposition_holds(rule)
+
+
+@pytest.mark.parametrize("rule", [180, 22])
+def test_superposition_fails_for_non_affine_rules(rule):
+    assert not superposition_holds(rule)
