@@ -54,7 +54,7 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
     _reject_unknown_keys(data, CONFIG_KEYS, "config file")
-    layer2 = data.get("layer2") or {}
+    layer2 = data.get("layer2", {})
     if not isinstance(layer2, dict):
         raise ConfigError("config key 'layer2' must be a JSON object")
     _reject_unknown_keys(layer2, LAYER2_KEYS, "config 'layer2'")
@@ -108,10 +108,9 @@ def _reject_non_integers(data: dict, where: str) -> None:
             )
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
+def _merged(args: argparse.Namespace) -> dict:
     """File values overlaid with any flags the user actually passed."""
-    cfg = dict(defaults)
-    cfg.update(_load_config_file(args.config))
+    cfg = _load_config_file(args.config)
     for key in ("rule", "iterations", "mappings", "diffuse", "distractor",
                 "runs", "seed", "out", "workers"):
         value = getattr(args, key, None)
@@ -125,8 +124,8 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
 def _run_config_from(cfg: dict) -> RunConfig:
     if "rule" not in cfg:
         raise ConfigError("a rule number is required (--rule or config file)")
-    layer2 = cfg.get("layer2") or {}
-    layered = bool(cfg.get("layered")) or bool(layer2)
+    layered = cfg.get("layered", False) or "layer2" in cfg
+    layer2 = cfg.get("layer2", {})
     try:
         return build_config(
             rule=cfg["rule"],
@@ -174,7 +173,7 @@ def _check_memory(configs: list[RunConfig], workers: int) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _run_config_from(_merged(args, {}))
+    config = _run_config_from(_merged(args))
     _check_memory([config], 1)
     result = run_once(config)
     for layer, ev in enumerate(result.evals, start=1):
@@ -259,7 +258,7 @@ def _format_sweep_csv(meta: dict, rules, combos, rates, timestamp: bool) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merged(args, {})
+    cfg = _merged(args)
     text = _format_sweep_csv(*_sweep_tables(cfg), timestamp=not args.no_timestamp)
     out = cfg.get("out")
     if out:
@@ -276,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    config = _run_config_from(_merged(args, {}))
+    config = _run_config_from(_merged(args))
     _check_memory([config], 1)
     grids = space_time_grids(config, pattern_id=args.pattern)
     base = args.out or "spacetime"

@@ -3,33 +3,19 @@
 Each of the R mappings scatters the L_in input bits onto distinct positions
 of an otherwise untouched segment of L_d cells. The R segments are
 concatenated into a single automaton of width R*L_d before any evolution.
-Mappings are drawn once from a seeded generator and never change afterwards.
+Mappings are drawn once per layer, from the seed in the layer's
+``ReservoirParams``, and never change afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    input_width: int
-    diffuse_length: int
-    mapping_count: int
-    seed: int
-
-    def __post_init__(self):
-        if self.input_width < 1:
-            raise ValueError("input_width must be >= 1")
-        if self.mapping_count < 1:
-            raise ValueError("mapping_count must be >= 1")
-        if self.diffuse_length < self.input_width:
-            raise ValueError(
-                f"diffuse_length ({self.diffuse_length}) must be >= "
-                f"input_width ({self.input_width})"
-            )
+if TYPE_CHECKING:
+    from .reservoir import ReservoirParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +54,13 @@ class MappingSet:
         return self.count * self.diffuse_length
 
 
-def generate_mappings(config: EncoderConfig) -> MappingSet:
-    """Draw the R random injections for ``config``; deterministic in the seed."""
-    rng = np.random.default_rng(config.seed)
+def generate_mappings(params: ReservoirParams) -> MappingSet:
+    """Draw the R random injections of one layer; deterministic in its seed."""
+    rng = np.random.default_rng(params.seed)
     maps = np.stack(
         [
-            rng.choice(config.diffuse_length, size=config.input_width, replace=False)
-            for _ in range(config.mapping_count)
+            rng.choice(params.diffuse_length, size=params.input_width, replace=False)
+            for _ in range(params.mapping_count)
         ]
     )
-    return MappingSet(config.input_width, config.diffuse_length, maps)
+    return MappingSet(params.input_width, params.diffuse_length, maps)

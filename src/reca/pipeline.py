@@ -24,11 +24,11 @@ predictions, and one of the two is wrong whatever the rule, mappings or
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .encoding import generate_mappings
 from .memory_task import (
     INPUT_WIDTH,
     MESSAGE_LEN,
@@ -39,7 +39,7 @@ from .memory_task import (
     evaluate,
 )
 from .readout import binarize_array, fit, predict, working_bytes
-from .reservoir import ReservoirParams, make_mappings, run_sequences
+from .reservoir import ReservoirParams, run_sequences
 
 # Fixed offset separating the layer-2 mapping seed from the layer-1 seed,
 # which equals the run seed. Keeps batch seeds (seed, seed+1, ...) disjoint
@@ -70,7 +70,6 @@ class RunConfig:
 @dataclass(frozen=True)
 class RunResult:
     evals: tuple[EvaluationResult, ...]  # one per layer, in run order
-    timing: dict[str, float]
 
     @property
     def layer1_eval(self) -> EvaluationResult:
@@ -178,43 +177,28 @@ def _task_arrays(config: RunConfig):
 
 def _run_layer(
     inputs: np.ndarray, targets: np.ndarray, params: ReservoirParams
-) -> tuple[np.ndarray, dict[str, float]]:
+) -> np.ndarray:
     """Train and self-test one encoder/reservoir/readout stage.
 
-    Returns the binarized predictions with shape (n_sequences, T, 3) and
-    per-phase wall-clock timings. The layer's features are freed on return,
-    before the next layer runs.
+    Draws the layer's mappings from ``params`` and returns the binarized
+    predictions with shape (n_sequences, T, 3). The layer's features are
+    freed on return, before the next layer runs.
     """
-    t0 = time.perf_counter()
-    mappings = make_mappings(params)
-    features, _ = run_sequences(inputs, params, mappings)
-    reservoir_s = time.perf_counter() - t0
-    preds, timing = _fit_readout(features, targets)
-    return preds, {"reservoir": reservoir_s, **timing}
+    features, _ = run_sequences(inputs, params, generate_mappings(params))
+    return _fit_readout(features, targets)
 
 
-def _fit_readout(
-    features: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, dict[str, float]]:
+def _fit_readout(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Fit one readout on a layer's (n_sequences, T, p) features.
 
     Returns its binarized predictions on those same features, shaped
-    (n_sequences, T, 3), and the fit and predict timings.
+    (n_sequences, T, 3).
     """
-    timing = {}
     n_seq, seq_len, feat_len = features.shape
     x = features.reshape(n_seq * seq_len, feat_len)
     y = targets.reshape(n_seq * seq_len, OUTPUT_WIDTH)
-
-    t0 = time.perf_counter()
     model = fit(x, y)
-    timing["fit"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    raw = predict(model, x)
-    preds = binarize_array(raw).reshape(n_seq, seq_len, OUTPUT_WIDTH)
-    timing["predict"] = time.perf_counter() - t0
-    return preds, timing
+    return binarize_array(predict(model, x)).reshape(n_seq, seq_len, OUTPUT_WIDTH)
 
 
 def prefix_conflict(inputs: np.ndarray, targets: np.ndarray) -> int | None:
@@ -248,26 +232,21 @@ def prefix_conflict(inputs: np.ndarray, targets: np.ndarray) -> int | None:
 
 
 def _layer_predictions(config: RunConfig, inputs: np.ndarray, targets: np.ndarray):
-    """Each layer's binarized predictions and timings, in run order.
+    """Each layer's binarized predictions, in run order.
 
     Each layer eats the previous layer's predictions. A layer runs only when
     it is pulled, so a caller that stops pulling skips the layers after it.
     """
     for params in config.layers:
-        inputs, timing = _run_layer(inputs, targets, params)
-        yield inputs, timing
+        inputs = _run_layer(inputs, targets, params)
+        yield inputs
 
 
 def run_once(config: RunConfig) -> RunResult:
     """One full train-and-test run, every layer of it, scored layer by layer."""
     tasks, inputs, targets = _task_arrays(config)
-    evals = []
-    timing = {}
     layers = _layer_predictions(config, inputs, targets)
-    for k, (preds, layer_timing) in enumerate(layers, start=1):
-        evals.append(evaluate(preds, tasks))
-        timing.update({f"layer{k}_{name}": v for name, v in layer_timing.items()})
-    return RunResult(tuple(evals), timing)
+    return RunResult(tuple(evaluate(preds, tasks) for preds in layers))
 
 
 def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
@@ -284,7 +263,7 @@ def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
     for k in range(final + 1):
         if k == final and prefix_conflict(inputs, targets) is not None:
             return (*verdicts, False)
-        inputs, _ = next(layers)
+        inputs = next(layers)
         verdicts.append(evaluate(inputs, tasks).success)
     return tuple(verdicts)
 
@@ -384,9 +363,9 @@ def space_time_grids(config: RunConfig, pattern_id: int = 0) -> list[np.ndarray]
 
     grids = []
     for k, params in enumerate(config.layers, start=1):
-        features, _ = run_sequences(inputs, params, make_mappings(params))
+        features, _ = run_sequences(inputs, params, generate_mappings(params))
         # a copy, so that a grid does not keep its layer's features alive
         grids.append(features[pattern_id].reshape(-1, params.state_width).copy())
         if k < len(config.layers):
-            inputs, _ = _fit_readout(features, targets)
+            inputs = _fit_readout(features, targets)
     return grids

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ca import evolve, make_rule
-from .encoding import EncoderConfig, MappingSet, generate_mappings
+from .encoding import MappingSet
 
 
 @dataclass(frozen=True)
 class ReservoirParams:
+    """One layer: its rule, I, R, L_d, input width and the seed of its R mappings."""
+
     rule: int
     iterations: int
     mapping_count: int
@@ -32,6 +34,8 @@ class ReservoirParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.input_width < 1:
+            raise ValueError("input_width must be >= 1")
         if self.mapping_count < 1:
             raise ValueError("mapping_count must be >= 1")
         if self.diffuse_length < self.input_width:
@@ -45,15 +49,6 @@ class ReservoirParams:
     def feature_length(self) -> int:
         return self.iterations * self.state_width
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            self.input_width, self.diffuse_length, self.mapping_count, self.seed
-        )
-
-
-def make_mappings(params: ReservoirParams) -> MappingSet:
-    return generate_mappings(params.encoder_config())
-
 
 def run_sequences(
     inputs: np.ndarray, params: ReservoirParams, mappings: MappingSet
@@ -64,7 +59,7 @@ def run_sequences(
         inputs: (n_sequences, T, L_in) array of 0s and 1s; any other value
             is a ValueError.
         params: reservoir parameters; ``mappings`` must match them.
-        mappings: the fixed random mappings.
+        mappings: the fixed random mappings, ``generate_mappings(params)``.
 
     Returns:
         (features, finals): features has shape (n_sequences, T, I*R*L_d);

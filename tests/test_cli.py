@@ -71,10 +71,23 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, monkeypatch, capsys, com
     assert repr(key) in capsys.readouterr().err
 
 
-def test_layer2_config_must_be_an_object(tmp_path, capsys):
-    path = write_config(tmp_path / "cfg.json", rule=90, layer2=[90])
+@pytest.mark.parametrize(
+    "layer2", [[90], None, False, 0, "", []],
+    ids=["list", "null", "false", "zero", "empty-string", "empty-list"],
+)
+def test_layer2_config_must_be_an_object(tmp_path, capsys, layer2):
+    # a falsy value is not an absent block: it must not run a single layer
+    path = write_config(tmp_path / "cfg.json", rule=90, layer2=layer2)
     assert main(["run", "--config", path]) == 2
     assert "layer2" in capsys.readouterr().err
+
+
+def test_empty_layer2_block_makes_the_run_layered(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", rule=90, iterations=2, mappings=2,
+                        distractor=20, layer2={})
+    assert main(["run", "--config", path]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["layer 1", "layer 2"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "render"])
@@ -406,9 +419,10 @@ def test_render_rule_0_is_all_white(tmp_path):
 
 
 def test_render_matches_record_space_time(tmp_path):
+    from reca.encoding import generate_mappings
     from reca.memory_task import all_patterns
     from reca.pipeline import build_config
-    from reca.reservoir import make_mappings, run_sequences
+    from reca.reservoir import run_sequences
 
     base = tmp_path / "check"
     assert main(["render", "--rule", "110", "--iterations", "3", "--mappings", "2",
@@ -417,7 +431,7 @@ def test_render_matches_record_space_time(tmp_path):
     config = build_config(rule=110, iterations=3, mappings=2, diffuse=10,
                           distractor=20, seed=4)
     inputs = np.stack([task.inputs for task in all_patterns(20)])
-    features, _ = run_sequences(inputs, config.layer1, make_mappings(config.layer1))
+    features, _ = run_sequences(inputs, config.layer1, generate_mappings(config.layer1))
     grid = features[0].reshape(-1, config.layer1.state_width)
     assert (tmp_path / "check_layer1.pgm").read_bytes() == grid_to_pgm(grid)
     assert (tmp_path / "check_layer1.txt").read_text() == grid_to_ascii(grid) + "\n"

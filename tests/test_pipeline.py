@@ -1,4 +1,4 @@
-import importlib
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -263,12 +263,13 @@ def test_space_time_grids_shapes():
 
 
 def test_space_time_grid_matches_reservoir_record():
-    from reca.reservoir import make_mappings, run_sequences
+    from reca.encoding import generate_mappings
+    from reca.reservoir import run_sequences
 
     config = build_config(rule=110, iterations=3, mappings=2, **FAST)
     grids = space_time_grids(config, pattern_id=4)
     inputs = np.stack([task.inputs for task in all_patterns(config.distractor)])
-    features, _ = run_sequences(inputs, config.layer1, make_mappings(config.layer1))
+    features, _ = run_sequences(inputs, config.layer1, generate_mappings(config.layer1))
     expected = features[4].reshape(-1, config.layer1.state_width)
     assert np.array_equal(grids[0], expected)
 
@@ -329,6 +330,35 @@ def test_run_once_calls_each_layer_phase_once_per_layer(monkeypatch, layered):
     assert evaluation.correct_bits == result.layer1_eval.correct_bits
     if layered:  # layer 2 reads layer 1's binarized predictions
         assert np.array_equal(inputs[1], first_bits.reshape(len(tasks), -1, 3))
+
+
+def test_each_layer_call_is_a_direct_child_of_the_traced_run(monkeypatch):
+    # perfbench's traced run times a layer's calls only where they are direct
+    # children of pipeline.run_once's span, and reads run_sequences' result[0]
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_trace", bench_trace)
+    spec.loader.exec_module(bench_trace)
+
+    layer_calls = [f"{module}.{name}" for module, name in TRACED[:5]]
+    tracer = bench_trace.Tracer()
+    tracer.capturing = True
+    undo = bench_trace.instrument(tracer, ["pipeline.run_once", *layer_calls])
+    try:
+        config = build_config(rule=90, iterations=2, mappings=2, layer2_rule=90, **FAST)
+        reca.pipeline.run_once(config)
+    finally:
+        undo()
+
+    (root,) = tracer.by_name("pipeline.run_once")
+    children = [s.name for s in tracer.spans if s.parent_id == root.span_id]
+    assert children == layer_calls * len(config.layers)
+    assert len(tracer.spans) == 1 + len(children)  # no layer call nested in another
+    seq_len = all_patterns(config.distractor)[0].inputs.shape[0]
+    runs = tracer.calls["reservoir.run_sequences"]
+    for params, (_, result) in zip(config.layers, runs, strict=True):
+        assert result[0].shape == (32, seq_len, params.feature_length)
 
 
 def test_layer2_fit_skips_repeated_rows(monkeypatch):

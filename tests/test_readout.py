@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reca import pipeline, readout
+from reca.encoding import generate_mappings
 from reca.readout import (
     BLOCK_ELEMENTS,
     MAX_FIT_ROWS,
@@ -21,7 +22,7 @@ from reca.readout import (
     fit,
     predict,
 )
-from reca.reservoir import make_mappings, run_sequences
+from reca.reservoir import run_sequences
 from reference import (
     exact_integer_fit,
     exact_ridge_bits,
@@ -337,8 +338,8 @@ def test_readout_bits_equal_exact_arithmetic_on_a_design_with_ties(seed):
     # the exact ridge solution at the production alpha.
     config = pipeline.build_config(180, 8, 8, layer2_rule=180, seed=seed)
     _, inputs, targets = pipeline._task_arrays(config)
-    layer1, _ = pipeline._run_layer(inputs, targets, config.layer1)
-    features, _ = run_sequences(layer1, config.layer2, make_mappings(config.layer2))
+    layer1 = pipeline._run_layer(inputs, targets, config.layer1)
+    features, _ = run_sequences(layer1, config.layer2, generate_mappings(config.layer2))
     x = features.reshape(-1, features.shape[-1])
     y = targets.reshape(len(x), -1)
     y_hat = predict(fit(x, y), x)

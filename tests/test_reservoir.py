@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reca.encoding import generate_mappings
 from reca.memory_task import MESSAGE_LEN, all_patterns
-from reca.reservoir import ReservoirParams, make_mappings, run_sequences
+from reca.reservoir import ReservoirParams, run_sequences
 from reference import naive_step
 
 
@@ -34,7 +35,7 @@ def encoded(bits, ms):
 
 def test_single_step_matches_evolve_of_initial_encoding():
     p = params(rule=110, iterations=3)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     x = np.array([[[1, 0, 0, 1]]], dtype=np.uint8)
     features, finals = run_sequences(x, p, ms)
     expected = naive_evolve(encoded(x[0, 0], ms), 110, 3)
@@ -45,7 +46,7 @@ def test_single_step_matches_evolve_of_initial_encoding():
 
 def test_rule_0_gives_all_zero_features():
     p = params(rule=0, iterations=4)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(1)
     features, finals = run_sequences(random_inputs(rng, 6), p, ms)
     assert not features.any()
@@ -55,7 +56,7 @@ def test_rule_0_gives_all_zero_features():
 def test_feature_length_matches_paper_example():
     p = params(rule=90, iterations=8, mappings=8, diffuse=40)
     assert p.feature_length == 2560
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(2)
     features, _ = run_sequences(random_inputs(rng, 3), p, ms)
     assert features.shape == (1, 3, 2560)
@@ -63,7 +64,7 @@ def test_feature_length_matches_paper_example():
 
 def test_recurrence_seeds_from_previous_final_state():
     p = params(rule=110, iterations=2)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(3)
     x = random_inputs(rng, 4)
     features, _ = run_sequences(x, p, ms)
@@ -80,7 +81,7 @@ def test_recurrence_seeds_from_previous_final_state():
 
 def test_determinism():
     p = params(rule=150, iterations=3, mappings=3, seed=9)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(4)
     x = random_inputs(rng, 5)
     f1, s1 = run_sequences(x, p, ms)
@@ -90,7 +91,7 @@ def test_determinism():
 
 def test_batched_sequences_match_individual_runs():
     p = params(rule=110, iterations=2, mappings=2)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(5)
     batch = rng.integers(0, 2, size=(5, 7, 4), dtype=np.uint8)
     features, finals = run_sequences(batch, p, ms)
@@ -103,7 +104,7 @@ def test_batched_sequences_match_individual_runs():
 def test_record_space_time_single_step_equals_evolve():
     # A sequence's space-time grid is its features as (T*I, R*L_d) rows.
     p = params(rule=30, iterations=3)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     x = np.array([[[0, 1, 1, 0]]], dtype=np.uint8)
     features, _ = run_sequences(x, p, ms)
     grid = features[0].reshape(-1, p.state_width)
@@ -112,7 +113,7 @@ def test_record_space_time_single_step_equals_evolve():
 
 def test_figure_scale_grid_dimensions():
     p = params(rule=90, iterations=8, mappings=8, diffuse=40)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(7)
     features, _ = run_sequences(random_inputs(rng, 30), p, ms)
     assert features[0].reshape(-1, p.state_width).shape == (240, 320)
@@ -120,26 +121,25 @@ def test_figure_scale_grid_dimensions():
 
 def test_dimension_mismatches_rejected():
     p = params()
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     with pytest.raises(ValueError):
         run_sequences(np.zeros((1, 3, 5), dtype=np.uint8), p, ms)
     with pytest.raises(ValueError):
         run_sequences(np.zeros((3, 4), dtype=np.uint8), p, ms)
-    wrong = make_mappings(params(mappings=3))
+    wrong = generate_mappings(params(mappings=3))
     with pytest.raises(ValueError):
         run_sequences(np.zeros((1, 3, 4), dtype=np.uint8), p, wrong)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        params(iterations=0)
-    with pytest.raises(ValueError):
-        params(diffuse=3)
+    for bad in (dict(iterations=0), dict(mappings=0), dict(diffuse=3), dict(input_width=0)):
+        with pytest.raises(ValueError):
+            params(**bad)
 
 
 def test_non_binary_or_empty_inputs_rejected():
     p = params()
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     with pytest.raises(ValueError):
         run_sequences(np.full((1, 3, 4), 2, dtype=np.uint8), p, ms)
     with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ def test_inputs_other_than_0_or_1_are_rejected_before_any_cast(value, dtype):
     x = np.zeros((1, 3, 4), dtype=dtype)
     x[0, 1, 2] = value
     with pytest.raises(ValueError, match="binary"):
-        run_sequences(x, p, make_mappings(p))
+        run_sequences(x, p, generate_mappings(p))
 
 
 def naive_run(x, p, ms):
@@ -189,7 +189,7 @@ def test_packed_lanes_match_naive_stepper(
 ):
     diffuse = max(input_width + extra_diffuse, 3)
     p = ReservoirParams(rule, iterations, mappings, diffuse, input_width, seed)
-    ms = make_mappings(p)
+    ms = generate_mappings(p)
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, size=(n_seq, seq_len, input_width), dtype=np.uint8)
     features, finals = run_sequences(x, p, ms)
@@ -209,7 +209,7 @@ def superposition_holds(rule):
     """
     p = params(rule=rule, iterations=2, mappings=4, diffuse=10)
     inputs = np.stack([task.inputs for task in all_patterns(6)])
-    features, _ = run_sequences(inputs, p, make_mappings(p))
+    features, _ = run_sequences(inputs, p, generate_mappings(p))
     messages = inputs[:, :MESSAGE_LEN, 0]
     index = {tuple(m): s for s, m in enumerate(messages.tolist())}
     zero = features[index[(0,) * MESSAGE_LEN]]
