@@ -15,6 +15,7 @@ import numpy as np
 from .ca import complement_rule, lambda_param, make_rule, mirror_rule
 from .pipeline import (
     RunConfig,
+    _usable_cpus,
     build_config,
     run_batches,
     run_bytes,
@@ -30,11 +31,38 @@ EXIT_SUCCESS = 0
 EXIT_FAILED_RUN = 1
 EXIT_USAGE = 2
 
-CONFIG_KEYS = frozenset({
-    "rule", "rules", "combos", "iterations", "mappings", "diffuse", "distractor",
-    "runs", "seed", "out", "workers", "layered", "layer2",
-})
-LAYER2_KEYS = frozenset({"rule", "iterations", "mappings", "diffuse"})
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_combo(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+
+
+# Each key a config file may hold: a check of its value, and what the value
+# must be, in words. Numbers must be JSON integers: 2.7 or true is not an I.
+# A flag of the same name overrides the file's value.
+_INTEGER = (_is_int, "an integer")
+CONFIG_TYPES = {
+    "rule": _INTEGER,
+    "iterations": _INTEGER,
+    "mappings": _INTEGER,
+    "diffuse": _INTEGER,
+    "distractor": _INTEGER,
+    "runs": _INTEGER,
+    "seed": _INTEGER,
+    "out": (lambda v: isinstance(v, str), "a string"),
+    "workers": _INTEGER,
+    "layered": (lambda v: isinstance(v, bool), "true or false"),
+    "rules": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "combos": (
+        lambda v: isinstance(v, list) and all(map(_is_combo, v)),
+        "a list of [I, R] integer pairs",
+    ),
+    "layer2": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+LAYER2_TYPES = {key: CONFIG_TYPES[key] for key in ("rule", "iterations", "mappings", "diffuse")}
 
 
 class ConfigError(Exception):
@@ -53,56 +81,22 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    _reject_unknown_keys(data, CONFIG_KEYS, "config file")
-    layer2 = data.get("layer2", {})
-    if not isinstance(layer2, dict):
-        raise ConfigError("config key 'layer2' must be a JSON object")
-    _reject_unknown_keys(layer2, LAYER2_KEYS, "config 'layer2'")
-    _reject_non_integers(data, "config file")
-    _reject_non_integers(layer2, "config 'layer2'")
+    _check_values(data, CONFIG_TYPES, "config file")
+    _check_values(data.get("layer2", {}), LAYER2_TYPES, "config 'layer2'")
     return data
 
 
-def _reject_unknown_keys(data: dict, allowed: frozenset, where: str) -> None:
-    unknown = sorted(set(data) - allowed)
+def _check_values(data: dict, types: dict, where: str) -> None:
+    """Reject keys that ``types`` does not list, then values that fail their check."""
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {where}: {', '.join(map(repr, unknown))} "
-            f"(allowed: {', '.join(sorted(allowed))})"
+            f"(allowed: {', '.join(sorted(types))})"
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _reject_non_integers(data: dict, where: str) -> None:
-    """Numbers in a config file must be JSON integers: 2.7 or true is not an I.
-
-    ``layered`` must be a JSON boolean and ``out`` a string.
-    """
     for key, value in data.items():
-        if key == "layer2":
-            continue
-        if key == "layered":
-            wanted = "true or false"
-            ok = isinstance(value, bool)
-        elif key == "out":
-            wanted = "a string"
-            ok = isinstance(value, str)
-        elif key == "rules":
-            wanted = "a list of integers"
-            ok = isinstance(value, list) and all(map(_is_int, value))
-        elif key == "combos":
-            wanted = "a list of [I, R] integer pairs"
-            ok = isinstance(value, list) and all(
-                isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
-                for pair in value
-            )
-        else:
-            wanted = "an integer"
-            ok = _is_int(value)
-        if not ok:
+        check, wanted = types[key]
+        if not check(value):
             raise ConfigError(
                 f"key {key!r} in {where} must be {wanted}, got {json.dumps(value)}"
             )
@@ -111,13 +105,10 @@ def _reject_non_integers(data: dict, where: str) -> None:
 def _merged(args: argparse.Namespace) -> dict:
     """File values overlaid with any flags the user actually passed."""
     cfg = _load_config_file(args.config)
-    for key in ("rule", "iterations", "mappings", "diffuse", "distractor",
-                "runs", "seed", "out", "workers"):
+    for key in CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if getattr(args, "layered", False):
-        cfg["layered"] = True
     return cfg
 
 
@@ -184,13 +175,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_SUCCESS if result.success else EXIT_FAILED_RUN
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (what ``nproc`` prints)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _sweep_tables(cfg: dict):
     """Run every (rule, combo) cell of the sweep.
 
@@ -207,8 +191,7 @@ def _sweep_tables(cfg: dict):
     if n_runs < 1:
         raise ConfigError(f"runs must be >= 1, got {n_runs}")
     cells = [(rule, i_, r_) for rule in rules for i_, r_ in combos]
-    workers = cfg.get("workers")
-    workers = _usable_cpus() if workers is None else workers
+    workers = cfg.get("workers", _usable_cpus())
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     # more workers than cores only add interpreter starts and contention
@@ -226,11 +209,12 @@ def _sweep_tables(cfg: dict):
     batches = run_batches(configs, n_runs, workers=workers)
     rates = {cell: batch.rates for cell, batch in zip(cells, batches)}
 
+    layer1 = configs[0].layer1
     meta = {
-        "ld": cfg.get("diffuse", 40),
-        "td": cfg.get("distractor", 200),
+        "ld": layer1.diffuse_length,
+        "td": configs[0].distractor,
         "runs": n_runs,
-        "seed": cfg.get("seed", 0),
+        "seed": layer1.seed,
     }
     return meta, rules, combos, rates
 
@@ -325,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--diffuse", type=int, help="diffuse length (L_d)")
         p.add_argument("--distractor", type=int, help="distractor period (T_d)")
         p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--layered", action="store_true",
+        p.add_argument("--layered", action="store_true", default=None,
                        help="stack a second reservoir")
         p.add_argument("--out", help="output path")
 

@@ -49,10 +49,6 @@ class MappingSet:
     def count(self) -> int:
         return self.maps.shape[0]
 
-    @property
-    def state_width(self) -> int:
-        return self.count * self.diffuse_length
-
 
 def generate_mappings(params: ReservoirParams) -> MappingSet:
     """Draw the R random injections of one layer; deterministic in its seed."""

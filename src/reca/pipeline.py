@@ -1,10 +1,10 @@
 """End-to-end train-and-test runs: single reservoir and the two-layer stack.
 
-One run: generate the 32 task sequences, draw the fixed mappings from the
-run seed, push every sequence through the reservoir, fit one readout on all
-32*T (feature, target) rows, predict on those same rows, binarize, and
-score. Train equals test on purpose; the protocol measures whether the
-reservoir projection makes the targets linearly separable, not
+One run: generate the 32 task sequences, draw each layer's fixed mappings
+from the layer's seed, push every sequence through the reservoir, fit one
+readout on all 32*T (feature, target) rows, predict on those same rows,
+binarize, and score. Train equals test on purpose; the protocol measures
+whether the reservoir projection makes the targets linearly separable, not
 generalization.
 
 In the layered variant the binarized 3-bit predictions of layer 1 become
@@ -12,13 +12,14 @@ the input sequences of a second encoder/reservoir/readout stage, fitted
 towards the same targets; the layer-2 evaluation is the deep result.
 
 ``run_once`` always runs every layer. The batch runs (``run_batches``,
-``run_batch``) return only verdicts, so they stop before a run's final layer
-when its inputs prove it fails (``prefix_conflict``): two sequences whose
-inputs agree through step t but whose targets differ at t. A reservoir
-starts every sequence from the same zero state and is deterministic, so
-their feature rows at t are equal; the readout maps equal rows to equal
-predictions, and one of the two is wrong whatever the rule, mappings or
-(I,R). The skipped layer's verdict is False, as a full run would find.
+``run_batch``) seed run i with layer 1's seed + i and return only verdicts,
+so they stop before a run's final layer when its inputs prove it fails
+(``prefix_conflict``): two sequences whose inputs agree through step t but
+whose targets differ at t. A reservoir starts every sequence from the same
+zero state and is deterministic, so their feature rows at t are equal; the
+readout maps equal rows to equal predictions, and one of the two is wrong
+whatever the rule, mappings or (I,R). The skipped layer's verdict is False,
+as a full run would find.
 """
 
 from __future__ import annotations
@@ -49,22 +50,31 @@ LAYER2_SEED_OFFSET = 1_000_003
 
 @dataclass(frozen=True)
 class RunConfig:
-    layer1: ReservoirParams
-    layer2: ReservoirParams | None = None
+    """One run: its reservoir layers in run order, and the distractor period T_d.
+
+    Each layer after the first reads the previous layer's binarized 3-bit
+    predictions. Run i of a batch reseeds the config to layer 1's seed + i.
+    """
+
+    layers: tuple[ReservoirParams, ...]
     distractor: int = 200
-    run_seed: int = 0
 
     def __post_init__(self):
-        if self.layer2 is not None and self.layer2.input_width != OUTPUT_WIDTH:
+        if not self.layers:
+            raise ValueError("a run needs at least one layer")
+        if any(params.input_width != OUTPUT_WIDTH for params in self.layers[1:]):
             raise ValueError(
                 f"layer-2 input width must be {OUTPUT_WIDTH} "
                 "(the binarized layer-1 outputs)"
             )
 
     @property
-    def layers(self) -> tuple[ReservoirParams, ...]:
-        """The reservoir stages in run order."""
-        return (self.layer1,) if self.layer2 is None else (self.layer1, self.layer2)
+    def layer1(self) -> ReservoirParams:
+        return self.layers[0]
+
+    @property
+    def layer2(self) -> ReservoirParams | None:
+        return self.layers[1] if len(self.layers) > 1 else None
 
 
 @dataclass(frozen=True)
@@ -116,29 +126,16 @@ def build_config(
     config; leave them all None for a single-layer one. Layer seeds derive
     from ``seed`` by fixed offsets.
     """
-    layer1 = ReservoirParams(
-        rule=rule,
-        iterations=iterations,
-        mapping_count=mappings,
-        diffuse_length=diffuse,
-        input_width=INPUT_WIDTH,
-        seed=seed,
-    )
-    layered = any(
-        v is not None
-        for v in (layer2_rule, layer2_iterations, layer2_mappings, layer2_diffuse)
-    )
-    layer2 = None
-    if layered:
-        layer2 = ReservoirParams(
-            rule=rule if layer2_rule is None else layer2_rule,
-            iterations=iterations if layer2_iterations is None else layer2_iterations,
-            mapping_count=mappings if layer2_mappings is None else layer2_mappings,
-            diffuse_length=diffuse if layer2_diffuse is None else layer2_diffuse,
-            input_width=OUTPUT_WIDTH,
-            seed=seed + LAYER2_SEED_OFFSET,
-        )
-    return RunConfig(layer1=layer1, layer2=layer2, distractor=distractor, run_seed=seed)
+    layer1 = ReservoirParams(rule=rule, iterations=iterations, mapping_count=mappings,
+                             diffuse_length=diffuse, input_width=INPUT_WIDTH, seed=seed)
+    given = dict(rule=layer2_rule, iterations=layer2_iterations,
+                 mapping_count=layer2_mappings, diffuse_length=layer2_diffuse)
+    overrides = {name: value for name, value in given.items() if value is not None}
+    if not overrides:
+        return RunConfig((layer1,), distractor)
+    layer2 = replace(layer1, input_width=OUTPUT_WIDTH, seed=seed + LAYER2_SEED_OFFSET,
+                     **overrides)
+    return RunConfig((layer1, layer2), distractor)
 
 
 def config_with_seed(config: RunConfig, seed: int) -> RunConfig:
@@ -146,11 +143,9 @@ def config_with_seed(config: RunConfig, seed: int) -> RunConfig:
 
     Layer k, counted from 0, gets seed ``seed + k * LAYER2_SEED_OFFSET``.
     """
-    layers = {
-        f"layer{k + 1}": replace(params, seed=seed + k * LAYER2_SEED_OFFSET)
-        for k, params in enumerate(config.layers)
-    }
-    return replace(config, run_seed=seed, **layers)
+    layers = [replace(params, seed=seed + k * LAYER2_SEED_OFFSET)
+              for k, params in enumerate(config.layers)]
+    return replace(config, layers=tuple(layers))
 
 
 def run_bytes(config: RunConfig) -> int:
@@ -268,6 +263,13 @@ def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
     return tuple(verdicts)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (what ``nproc`` prints)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_in_pool(jobs: list, workers: int) -> list:
     """``_batch_worker`` over ``jobs`` on one pool of spawned workers.
 
@@ -312,12 +314,13 @@ def _map_in_pool(jobs: list, workers: int) -> list:
 def run_batches(
     configs: list[RunConfig], n_runs: int, workers: int = 1
 ) -> list[BatchResult]:
-    """``n_runs`` runs of each config, seeds run_seed, run_seed+1, ...
+    """``n_runs`` runs of each config; run i gets seed ``config.layer1.seed + i``.
 
     Every run of every config is one job on one pool of ``workers``
     processes, each with one BLAS thread; ``workers=1`` runs them in this
-    process. Results are keyed by (config, run index), so the outcome is
-    independent of worker scheduling.
+    process. The pool has no more workers than jobs or usable CPUs, as more
+    would only add interpreter starts and contention. Results are keyed by
+    (config, run index), so the outcome is independent of worker scheduling.
 
     Only verdicts are kept, so a run stops before its final layer when that
     layer's inputs prove it fails (``prefix_conflict``, module docstring).
@@ -328,8 +331,8 @@ def run_batches(
         raise ValueError("n_runs must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(config, config.run_seed + i) for config in configs for i in range(n_runs)]
-    workers = min(workers, len(jobs))
+    jobs = [(config, config.layer1.seed + i) for config in configs for i in range(n_runs)]
+    workers = min(workers, len(jobs), _usable_cpus())
     if workers > 1:
         outcomes = _map_in_pool(jobs, workers)
     else:
@@ -341,7 +344,7 @@ def run_batches(
 
 
 def run_batch(config: RunConfig, n_runs: int, workers: int = 1) -> BatchResult:
-    """Execute ``n_runs`` runs with seeds run_seed, run_seed+1, ...
+    """Execute ``n_runs`` runs with seeds layer1.seed, layer1.seed + 1, ...
 
     Results are keyed by run index, so the outcome is independent of worker
     scheduling. As in ``run_batches``, a run skips a final layer that its

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete. The statistical criteria replicate randomized
 benchmark percentages, so they run 1,330 train-and-test runs in this
-process; criteria 1-5 took 127 s in total on a 2-vCPU VM with OpenBLAS.
+process; criteria 1-5 took 104-111 s in total on a 2-vCPU VM with OpenBLAS.
 """
 
 import os

@@ -100,6 +100,10 @@ def test_empty_layer2_block_makes_the_run_layered(tmp_path, capsys):
         ({"rules": [90], "combos": [[2, 4.0]]}, "combos"),
         ({"rule": 90, "layered": "false"}, "layered"),
         ({"rule": 90, "out": 5}, "out"),
+        ({"rule": 90, "runs": 2.5}, "runs"),
+        ({"rule": 90, "seed": True}, "seed"),
+        ({"rule": 90, "workers": "2"}, "workers"),
+        ({"rules": 90}, "rules"),
     ],
 )
 def test_non_integer_config_values_are_usage_errors(

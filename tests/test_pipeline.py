@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from reca.pipeline import (
     run_once,
     space_time_grids,
 )
+from reca.reservoir import ReservoirParams
 
 # Short distractor keeps unit-test pipeline runs cheap; the paper-scale
 # T_d=200 protocol is exercised by the acceptance suite.
@@ -91,7 +93,35 @@ def test_config_with_seed_rederives_layer_seeds():
     reseeded = config_with_seed(config, 99)
     assert reseeded.layer1.seed == 99
     assert reseeded.layer2.seed == 99 + LAYER2_SEED_OFFSET
-    assert reseeded.run_seed == 99
+    assert reseeded.layers == tuple(
+        replace(params, seed=99 + k * LAYER2_SEED_OFFSET)
+        for k, params in enumerate(config.layers)
+    )
+    assert reseeded.distractor == config.distractor
+
+
+def record_mapping_seeds(monkeypatch):
+    """The seed of every layer whose mappings the pipeline draws, in order."""
+    seeds = []
+    generate_mappings = reca.pipeline.generate_mappings
+
+    def recording(params):
+        seeds.append(params.seed)
+        return generate_mappings(params)
+
+    monkeypatch.setattr(reca.pipeline, "generate_mappings", recording)
+    return seeds
+
+
+def test_hand_built_config_batches_from_its_layer_seed(monkeypatch):
+    # The run seed is layer 1's seed: batch run i draws from seed 5 + i.
+    config = RunConfig((ReservoirParams(90, 2, 2, 10, 4, 5),), distractor=20)
+    seeds = record_mapping_seeds(monkeypatch)
+    run_batch(config, 2)
+    assert seeds == [5, 6]
+    seeds.clear()
+    run_once(config)
+    assert seeds == [5]
 
 
 def test_run_batch_single_run_rate_is_zero_or_hundred():
@@ -108,7 +138,7 @@ def test_run_batch_uses_sequential_seeds(monkeypatch, layered):
     config = build_config(rule=90, iterations=4, mappings=4,
                           layer2_rule=90 if layered else None, **dict(FAST, seed=0))
     expected = [
-        [ev.success for ev in run_once(config_with_seed(config, config.run_seed + i)).evals]
+        [ev.success for ev in run_once(config_with_seed(config, config.layer1.seed + i)).evals]
         for i in range(8)
     ]
     layer_runs = []
@@ -206,7 +236,28 @@ def test_prefix_conflict_never_fires_on_the_task_inputs(distractor):
     assert prefix_conflict(inputs, targets) is None
 
 
-def test_run_batch_parallel_matches_serial():
+def two_usable_cpus(monkeypatch):
+    """Let ``run_batches`` start a pool of two whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_run_batches_clamps_workers_to_usable_cpus(monkeypatch):
+    seen = []
+
+    def serial_pool(jobs, workers):
+        seen.append(workers)
+        return [reca.pipeline._batch_worker(job) for job in jobs]
+
+    monkeypatch.setattr(reca.pipeline, "_map_in_pool", serial_pool)
+    two_usable_cpus(monkeypatch)
+    config = build_config(rule=90, iterations=2, mappings=2, **FAST)
+    batch = run_batch(config, 4, workers=64)
+    assert seen == [2]
+    assert batch.successes == run_batch(config, 4, workers=1).successes
+
+
+def test_run_batch_parallel_matches_serial(monkeypatch):
+    two_usable_cpus(monkeypatch)
     config = build_config(rule=150, iterations=2, mappings=4, **FAST)
     serial = run_batch(config, 4, workers=1)
     parallel = run_batch(config, 4, workers=2)
@@ -214,14 +265,13 @@ def test_run_batch_parallel_matches_serial():
 
 
 class OneBlasThreadConfig(RunConfig):
-    """A config whose run fails unless its process was started with one BLAS thread."""
+    """A config that fails to unpickle unless its process was started with one BLAS thread."""
 
-    @property
-    def layers(self):
+    def __setstate__(self, state):
         seen = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         if seen != {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}:
             raise RuntimeError(f"worker environment: {seen}")
-        return super().layers
+        self.__dict__.update(state)
 
 
 def child_pids():
@@ -234,12 +284,13 @@ def child_pids():
 
 
 def test_run_batch_workers_start_with_one_blas_thread(monkeypatch):
+    two_usable_cpus(monkeypatch)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     before = dict(os.environ)
     children = child_pids()
     config = build_config(rule=90, iterations=2, mappings=2, **FAST)
-    config = OneBlasThreadConfig(config.layer1, config.layer2, config.distractor, config.run_seed)
+    config = OneBlasThreadConfig(config.layers, config.distractor)
     batch = run_batch(config, 2, workers=2)
     assert batch.n_runs == 2
     assert dict(os.environ) == before
@@ -275,13 +326,19 @@ def test_space_time_grid_matches_reservoir_record():
 
 
 def test_layer2_config_rejects_wrong_input_width():
-    from reca.pipeline import RunConfig
-    from reca.reservoir import ReservoirParams
-
     layer1 = ReservoirParams(90, 2, 2, 10, 4, 0)
     bad_layer2 = ReservoirParams(90, 2, 2, 10, 4, 1)
-    with pytest.raises(ValueError):
-        RunConfig(layer1=layer1, layer2=bad_layer2, distractor=20)
+    with pytest.raises(ValueError, match="layer-2 input width must be 3"):
+        RunConfig((layer1, bad_layer2), distractor=20)
+    good_layer2 = replace(bad_layer2, input_width=3)
+    with pytest.raises(ValueError, match="layer-2 input width must be 3"):
+        RunConfig((layer1, good_layer2, bad_layer2), distractor=20)
+    assert RunConfig((layer1, good_layer2), distractor=20).layer2 == good_layer2
+
+
+def test_run_config_needs_a_layer():
+    with pytest.raises(ValueError, match="at least one layer"):
+        RunConfig(())
 
 
 # The layer phases the benchmark times, by defining module, in call order.

@@ -26,9 +26,9 @@ def naive_evolve(state, rule, iterations):
     return np.stack(rows)
 
 
-def encoded(bits, ms):
+def encoded(bits, p, ms):
     """The input written onto a blank automaton."""
-    state = np.zeros(ms.state_width, dtype=np.uint8)
+    state = np.zeros(p.state_width, dtype=np.uint8)
     state[ms.positions] = np.tile(bits, ms.count)
     return state
 
@@ -38,7 +38,7 @@ def test_single_step_matches_evolve_of_initial_encoding():
     ms = generate_mappings(p)
     x = np.array([[[1, 0, 0, 1]]], dtype=np.uint8)
     features, finals = run_sequences(x, p, ms)
-    expected = naive_evolve(encoded(x[0, 0], ms), 110, 3)
+    expected = naive_evolve(encoded(x[0, 0], p, ms), 110, 3)
     assert features.shape == (1, 1, p.feature_length)
     assert np.array_equal(features[0, 0], expected.ravel())
     assert np.array_equal(finals[0], expected[-1])
@@ -69,7 +69,7 @@ def test_recurrence_seeds_from_previous_final_state():
     x = random_inputs(rng, 4)
     features, _ = run_sequences(x, p, ms)
 
-    state = np.zeros(ms.state_width, dtype=np.uint8)
+    state = np.zeros(p.state_width, dtype=np.uint8)
     expected = []
     for t in range(4):
         state[ms.positions] = np.tile(x[0, t], ms.count)
@@ -108,7 +108,7 @@ def test_record_space_time_single_step_equals_evolve():
     x = np.array([[[0, 1, 1, 0]]], dtype=np.uint8)
     features, _ = run_sequences(x, p, ms)
     grid = features[0].reshape(-1, p.state_width)
-    assert np.array_equal(grid, naive_evolve(encoded(x[0, 0], ms), 30, 3))
+    assert np.array_equal(grid, naive_evolve(encoded(x[0, 0], p, ms), 30, 3))
 
 
 def test_figure_scale_grid_dimensions():
