@@ -15,8 +15,8 @@ import numpy as np
 from .ca import complement_rule, lambda_param, make_rule, mirror_rule
 from .pipeline import (
     RunConfig,
-    _usable_cpus,
     build_config,
+    pool_size,
     run_batches,
     run_bytes,
     run_once,
@@ -117,14 +117,14 @@ def _run_config_from(cfg: dict) -> RunConfig:
         raise ConfigError("a rule number is required (--rule or config file)")
     layered = cfg.get("layered", False) or "layer2" in cfg
     layer2 = cfg.get("layer2", {})
+    # build_config holds the defaults of the keys that are not given
+    given = {key: cfg[key] for key in ("diffuse", "distractor", "seed") if key in cfg}
     try:
         return build_config(
             rule=cfg["rule"],
             iterations=cfg.get("iterations", 8),
             mappings=cfg.get("mappings", 8),
-            diffuse=cfg.get("diffuse", 40),
-            distractor=cfg.get("distractor", 200),
-            seed=cfg.get("seed", 0),
+            **given,
             layer2_rule=layer2.get("rule", cfg["rule"]) if layered else None,
             layer2_iterations=layer2.get("iterations"),
             layer2_mappings=layer2.get("mappings"),
@@ -191,11 +191,8 @@ def _sweep_tables(cfg: dict):
     if n_runs < 1:
         raise ConfigError(f"runs must be >= 1, got {n_runs}")
     cells = [(rule, i_, r_) for rule in rules for i_, r_ in combos]
-    workers = cfg.get("workers", _usable_cpus())
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    # more workers than cores only add interpreter starts and contention
-    workers = min(workers, n_runs * len(cells), _usable_cpus())
+    n_jobs = n_runs * len(cells)
+    workers = pool_size(cfg.get("workers", n_jobs), n_jobs)
 
     configs = [
         _run_config_from({**cfg, "rule": rule, "iterations": i_, "mappings": r_})

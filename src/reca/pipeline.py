@@ -11,15 +11,16 @@ In the layered variant the binarized 3-bit predictions of layer 1 become
 the input sequences of a second encoder/reservoir/readout stage, fitted
 towards the same targets; the layer-2 evaluation is the deep result.
 
-``run_once`` always runs every layer. The batch runs (``run_batches``,
-``run_batch``) seed run i with layer 1's seed + i and return only verdicts,
-so they stop before a run's final layer when its inputs prove it fails
-(``prefix_conflict``): two sequences whose inputs agree through step t but
-whose targets differ at t. A reservoir starts every sequence from the same
-zero state and is deterministic, so their feature rows at t are equal; the
-readout maps equal rows to equal predictions, and one of the two is wrong
-whatever the rule, mappings or (I,R). The skipped layer's verdict is False,
-as a full run would find.
+``run_once`` always runs every layer. Run i of a batch (``run_batches``,
+``run_batch``) shifts every layer's own seed by i, so run 0 is the config
+as given. The batch runs return only verdicts, so they stop before a run's
+final layer when its inputs prove it fails (``prefix_conflict``): two
+sequences whose inputs agree through step t but whose targets differ at t.
+A reservoir starts every sequence from the same zero state and is
+deterministic, so their feature rows at t are equal; the readout maps equal
+rows to equal predictions, and one of the two is wrong whatever the rule,
+mappings or (I,R). The skipped layer's verdict is False, as a full run
+would find.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .memory_task import (
 from .readout import binarize_array, fit, predict, working_bytes
 from .reservoir import ReservoirParams, run_sequences
 
-# Fixed offset separating the layer-2 mapping seed from the layer-1 seed,
-# which equals the run seed. Keeps batch seeds (seed, seed+1, ...) disjoint
-# from the second layer's stream for any sane batch size.
+# Fixed offset of ``build_config``'s layer-2 mapping seed from its layer-1
+# seed. A batch shifts both by the run index, so layer 1's seeds (seed,
+# seed+1, ...) stay disjoint from layer 2's for any sane batch size.
 LAYER2_SEED_OFFSET = 1_000_003
 
 
@@ -53,7 +54,7 @@ class RunConfig:
     """One run: its reservoir layers in run order, and the distractor period T_d.
 
     Each layer after the first reads the previous layer's binarized 3-bit
-    predictions. Run i of a batch reseeds the config to layer 1's seed + i.
+    predictions. Run i of a batch adds i to every layer's own seed.
     """
 
     layers: tuple[ReservoirParams, ...]
@@ -62,6 +63,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a run needs at least one layer")
+        if self.distractor < 1:
+            raise ValueError("distractor period must be >= 1")
         if any(params.input_width != OUTPUT_WIDTH for params in self.layers[1:]):
             raise ValueError(
                 f"layer-2 input width must be {OUTPUT_WIDTH} "
@@ -136,16 +139,6 @@ def build_config(
     layer2 = replace(layer1, input_width=OUTPUT_WIDTH, seed=seed + LAYER2_SEED_OFFSET,
                      **overrides)
     return RunConfig((layer1, layer2), distractor)
-
-
-def config_with_seed(config: RunConfig, seed: int) -> RunConfig:
-    """Same architecture, reseeded.
-
-    Layer k, counted from 0, gets seed ``seed + k * LAYER2_SEED_OFFSET``.
-    """
-    layers = [replace(params, seed=seed + k * LAYER2_SEED_OFFSET)
-              for k, params in enumerate(config.layers)]
-    return replace(config, layers=tuple(layers))
 
 
 def run_bytes(config: RunConfig) -> int:
@@ -245,12 +238,14 @@ def run_once(config: RunConfig) -> RunResult:
 
 
 def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
-    """One run's per-layer verdicts, equal to ``run_once``'s successes.
+    """Run i of ``config``, every layer's seed + i: its per-layer verdicts.
 
-    The final layer is not run when ``prefix_conflict`` proves it fails.
+    They equal ``run_once``'s successes on that config. The final layer is
+    not run when ``prefix_conflict`` proves it fails.
     """
-    config, seed = args
-    config = config_with_seed(config, seed)
+    config, i = args
+    config = replace(config, layers=tuple(replace(params, seed=params.seed + i)
+                                          for params in config.layers))
     tasks, inputs, targets = _task_arrays(config)
     layers = _layer_predictions(config, inputs, targets)
     final = len(config.layers) - 1
@@ -268,6 +263,16 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def pool_size(workers: int, n_jobs: int) -> int:
+    """``workers``, cut to the ``n_jobs`` jobs and the usable CPUs: a batch's pool size.
+
+    Fewer than one is a ValueError; more would only add interpreter starts and contention.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_jobs, _usable_cpus())
 
 
 def _map_in_pool(jobs: list, workers: int) -> list:
@@ -314,12 +319,11 @@ def _map_in_pool(jobs: list, workers: int) -> list:
 def run_batches(
     configs: list[RunConfig], n_runs: int, workers: int = 1
 ) -> list[BatchResult]:
-    """``n_runs`` runs of each config; run i gets seed ``config.layer1.seed + i``.
+    """``n_runs`` runs of each config; run i adds i to every layer's seed.
 
-    Every run of every config is one job on one pool of ``workers``
-    processes, each with one BLAS thread; ``workers=1`` runs them in this
-    process. The pool has no more workers than jobs or usable CPUs, as more
-    would only add interpreter starts and contention. Results are keyed by
+    Run 0 is the config as given. Every run of every config is one job on
+    one pool of ``pool_size(workers, jobs)`` processes, each with one BLAS
+    thread; one worker runs them in this process. Results are keyed by
     (config, run index), so the outcome is independent of worker scheduling.
 
     Only verdicts are kept, so a run stops before its final layer when that
@@ -329,10 +333,8 @@ def run_batches(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(config, config.layer1.seed + i) for config in configs for i in range(n_runs)]
-    workers = min(workers, len(jobs), _usable_cpus())
+    jobs = [(config, i) for config in configs for i in range(n_runs)]
+    workers = pool_size(workers, len(jobs))
     if workers > 1:
         outcomes = _map_in_pool(jobs, workers)
     else:
@@ -344,7 +346,7 @@ def run_batches(
 
 
 def run_batch(config: RunConfig, n_runs: int, workers: int = 1) -> BatchResult:
-    """Execute ``n_runs`` runs with seeds layer1.seed, layer1.seed + 1, ...
+    """Execute ``n_runs`` runs of ``config``, run i with every layer's seed + i.
 
     Results are keyed by run index, so the outcome is independent of worker
     scheduling. As in ``run_batches``, a run skips a final layer that its

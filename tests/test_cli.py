@@ -228,12 +228,14 @@ def test_sweep_applies_layer2_block(tmp_path, monkeypatch, layered):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_workers_below_one(monkeypatch, capsys, workers):
-    calls = []
-    monkeypatch.setattr(reca.cli, "run_batches", lambda *a, **k: calls.append(k))
+    # Checked before the memory check and the banner.
+    for name in ("run_batches", "_check_memory"):
+        monkeypatch.setattr(reca.cli, name, refuse_to_run)
     assert main(["sweep", "--rule", "90", "--iterations", "2", "--mappings", "2",
                  "--runs", "2", "--workers", workers]) == 2
-    assert "workers" in capsys.readouterr().err
-    assert calls == []
+    err = capsys.readouterr().err
+    assert f"error: workers must be >= 1, got {workers}" in err
+    assert "sweep:" not in err
 
 
 @pytest.mark.parametrize("source", ["--runs 0", "--runs -2", "config"])
@@ -325,16 +327,19 @@ def test_runs_that_do_not_fit_in_memory_are_usage_errors(
         ({"rule": 300}, "rule must be in [0, 255], got 300"),
         ({"rule": 90, "layer2": {"rule": -1}}, "rule must be in [0, 255], got -1"),
         ({"rule": 90, "seed": -2}, "seed must be >= 0, got -2"),
+        ({"rule": 90, "distractor": 0}, "distractor period must be >= 1"),
     ],
 )
 def test_bad_rule_or_seed_is_a_usage_error_before_any_run(
     tmp_path, monkeypatch, capsys, command, cfg, message
 ):
-    for name in ("run_once", "run_batches", "space_time_grids"):
+    for name in ("run_once", "run_batches", "space_time_grids", "_check_memory"):
         monkeypatch.setattr(reca.cli, name, refuse_to_run)
     path = write_config(tmp_path / "cfg.json", **cfg)
     assert main([command, "--config", path]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "sweep:" not in err
 
 
 def test_bad_rule_or_seed_flags_run_nothing(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,6 @@ from reca.pipeline import (
     LAYER2_SEED_OFFSET,
     RunConfig,
     build_config,
-    config_with_seed,
     prefix_conflict,
     run_batch,
     run_batches,
@@ -87,19 +86,6 @@ def test_run_once_dispatches():
     assert run_once(layered).layer2_eval is not None
 
 
-def test_config_with_seed_rederives_layer_seeds():
-    config = build_config(rule=90, iterations=2, mappings=2, **FAST,
-                          layer2_rule=90)
-    reseeded = config_with_seed(config, 99)
-    assert reseeded.layer1.seed == 99
-    assert reseeded.layer2.seed == 99 + LAYER2_SEED_OFFSET
-    assert reseeded.layers == tuple(
-        replace(params, seed=99 + k * LAYER2_SEED_OFFSET)
-        for k, params in enumerate(config.layers)
-    )
-    assert reseeded.distractor == config.distractor
-
-
 def record_mapping_seeds(monkeypatch):
     """The seed of every layer whose mappings the pipeline draws, in order."""
     seeds = []
@@ -113,15 +99,27 @@ def record_mapping_seeds(monkeypatch):
     return seeds
 
 
-def test_hand_built_config_batches_from_its_layer_seed(monkeypatch):
-    # The run seed is layer 1's seed: batch run i draws from seed 5 + i.
-    config = RunConfig((ReservoirParams(90, 2, 2, 10, 4, 5),), distractor=20)
-    seeds = record_mapping_seeds(monkeypatch)
-    run_batch(config, 2)
-    assert seeds == [5, 6]
-    seeds.clear()
-    run_once(config)
-    assert seeds == [5]
+@pytest.mark.parametrize(
+    "config,seeds",
+    [
+        (RunConfig((ReservoirParams(90, 2, 2, 10, 4, 5),), distractor=20), [5, 6]),
+        (RunConfig((ReservoirParams(90, 4, 4, 40, 4, 5), ReservoirParams(90, 4, 4, 40, 3, 9)),
+                   distractor=20), [5, 9, 6, 10]),
+        (build_config(rule=90, iterations=4, mappings=4, layer2_rule=90, **FAST),
+         [7, 7 + LAYER2_SEED_OFFSET, 8, 8 + LAYER2_SEED_OFFSET]),
+    ],
+    ids=["one-layer-by-hand", "two-layers-by-hand", "build_config"],
+)
+def test_batch_run_i_adds_i_to_every_layer_seed(monkeypatch, config, seeds):
+    # Run 0 is the config as given, so its verdicts are run_once's. No run
+    # here skips its final layer, so every layer of both runs draws.
+    drawn = record_mapping_seeds(monkeypatch)
+    batch = run_batch(config, 2)
+    assert drawn == seeds
+    drawn.clear()
+    result = run_once(config)
+    assert drawn == seeds[: len(config.layers)]
+    assert [layer[0] for layer in batch.successes] == [ev.success for ev in result.evals]
 
 
 def test_run_batch_single_run_rate_is_zero_or_hundred():
@@ -135,12 +133,11 @@ def test_run_batch_single_run_rate_is_zero_or_hundred():
 def test_run_batch_uses_sequential_seeds(monkeypatch, layered):
     # Layered, layer 1's predictions hold a prefix conflict on 1 of these 8
     # seeds, so that run's final layer is skipped.
-    config = build_config(rule=90, iterations=4, mappings=4,
-                          layer2_rule=90 if layered else None, **dict(FAST, seed=0))
-    expected = [
-        [ev.success for ev in run_once(config_with_seed(config, config.layer1.seed + i)).evals]
-        for i in range(8)
-    ]
+    def config(seed):
+        return build_config(rule=90, iterations=4, mappings=4,
+                            layer2_rule=90 if layered else None, **dict(FAST, seed=seed))
+
+    expected = [[ev.success for ev in run_once(config(i)).evals] for i in range(8)]
     layer_runs = []
     run_sequences = reca.pipeline.run_sequences
 
@@ -149,10 +146,10 @@ def test_run_batch_uses_sequential_seeds(monkeypatch, layered):
         return run_sequences(*args, **kwargs)
 
     monkeypatch.setattr(reca.pipeline, "run_sequences", counting_run_sequences)
-    batch = run_batch(config, 8)
+    batch = run_batch(config(0), 8)
     assert batch.successes == tuple(list(layer) for layer in zip(*expected))
     assert layer_runs.count((32, 30, 4)) == 8  # layer 1 always runs
-    skipped = 8 * len(config.layers) - len(layer_runs)
+    skipped = 8 * (2 if layered else 1) - len(layer_runs)
     assert skipped == (1 if layered else 0)
 
 
