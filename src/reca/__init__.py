@@ -1,7 +1,7 @@
 """Cellular-automata reservoir computing with a trained linear readout."""
 
 from .ca import Rule, complement_rule, lambda_param, make_rule, mirror_rule
-from .encoding import MappingSet, generate_mappings
+from .encoding import generate_mappings
 from .memory_task import EvaluationResult, TaskSequence, all_patterns, evaluate, generate
 from .pipeline import (
     BatchResult,
@@ -21,7 +21,6 @@ __all__ = [
     "lambda_param",
     "mirror_rule",
     "complement_rule",
-    "MappingSet",
     "generate_mappings",
     "ReservoirParams",
     "run_sequences",

@@ -13,7 +13,7 @@ is one update of :func:`evolve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,23 +21,16 @@ MIN_WIDTH = 3
 LANES = 32  # automata per packed word (LaneStepper)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Rule:
     """An elementary CA rule: its number and 8-entry lookup table.
 
-    ``table[n]`` is the next cell state for neighborhood value ``n``.
+    ``table[n]`` is the next cell state for neighborhood value ``n``. Rules
+    compare and hash by their number.
     """
 
     number: int
-    table: np.ndarray  # shape (8,), uint8
-
-    def __eq__(self, other):
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return self.number == other.number
-
-    def __hash__(self):
-        return hash(self.number)
+    table: np.ndarray = field(compare=False)  # shape (8,), uint8
 
 
 def make_rule(number: int) -> Rule:
@@ -204,18 +197,16 @@ def lambda_param(rule: Rule) -> float:
 
 
 def mirror_rule(rule: Rule) -> Rule:
-    """Left-right equivalent rule: swaps the roles of left and right neighbors."""
-    table = np.empty(8, dtype=np.uint8)
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                table[4 * a + 2 * b + c] = rule.table[4 * c + 2 * b + a]
-    return rule_from_table(table)
+    """Left-right equivalent rule: swaps the roles of left and right neighbors.
+
+    Neighborhood 4a + 2b + c takes the output of 4c + 2b + a.
+    """
+    return rule_from_table(rule.table[[0, 4, 2, 6, 1, 5, 3, 7]])
 
 
 def complement_rule(rule: Rule) -> Rule:
-    """Black-white equivalent rule: interchanges live and quiescent cells."""
-    table = np.empty(8, dtype=np.uint8)
-    for n in range(8):
-        table[n] = 1 - rule.table[7 - n]
-    return rule_from_table(table)
+    """Black-white equivalent rule: interchanges live and quiescent cells.
+
+    Neighborhood n takes the complement of the output of 7 - n.
+    """
+    return rule_from_table(1 - rule.table[::-1])

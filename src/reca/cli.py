@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base seed")
         p.add_argument("--layered", action="store_true", default=None,
                        help="stack a second reservoir")
-        p.add_argument("--out", help="output path")
 
     p_run = sub.add_parser("run", help="one train-and-test run")
     add_common(p_run)
@@ -316,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rules x (I,R) grid, CSV output")
     add_common(p_sweep)
+    p_sweep.add_argument("--out", help="CSV output path")
     p_sweep.add_argument("--runs", type=int, help="runs per cell")
     p_sweep.add_argument("--workers", type=int, help="parallel worker count")
     p_sweep.add_argument("--no-timestamp", action="store_true",
@@ -324,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser("render", help="space-time diagrams (PGM + ASCII)")
     add_common(p_render)
+    p_render.add_argument("--out", help="output path prefix")
     p_render.add_argument("--pattern", type=int, default=0,
                           help="task pattern to visualize (0-31)")
     p_render.set_defaults(func=cmd_render)

@@ -1,26 +1,27 @@
 """End-to-end train-and-test runs: single reservoir and the two-layer stack.
 
-One run: generate the 32 task sequences, draw each layer's fixed mappings
-from the layer's seed, push every sequence through the reservoir, fit one
-readout on all 32*T (feature, target) rows, predict on those same rows,
-binarize, and score. Train equals test on purpose; the protocol measures
-whether the reservoir projection makes the targets linearly separable, not
-generalization.
+One run: generate the 32 task sequences, draw each layer's fixed (R, L_in)
+mappings from its ``ReservoirParams``, push every sequence through the
+reservoir, fit one readout on all 32*T (feature, target) rows, predict on
+those same rows, binarize, and score. Train equals test on purpose; the
+protocol measures whether the reservoir projection makes the targets
+linearly separable, not generalization.
 
 In the layered variant the binarized 3-bit predictions of layer 1 become
 the input sequences of a second encoder/reservoir/readout stage, fitted
 towards the same targets; the layer-2 evaluation is the deep result.
 
-``run_once`` always runs every layer. Run i of a batch (``run_batches``,
-``run_batch``) shifts every layer's own seed by i, so run 0 is the config
-as given. The batch runs return only verdicts, so they stop before a run's
-final layer when its inputs prove it fails (``prefix_conflict``): two
-sequences whose inputs agree through step t but whose targets differ at t.
-A reservoir starts every sequence from the same zero state and is
-deterministic, so their feature rows at t are equal; the readout maps equal
-rows to equal predictions, and one of the two is wrong whatever the rule,
-mappings or (I,R). The skipped layer's verdict is False, as a full run
-would find.
+``run_once`` and a batch's runs each go through ``config.layers`` in one
+loop, and ``run_once`` always runs every layer. Run i of a batch
+(``run_batches``, ``run_batch``) shifts every layer's own seed by i, so run
+0 is the config as given. The batch runs return only verdicts, so they
+stop before a run's final layer when its inputs prove it fails
+(``prefix_conflict``): two sequences whose inputs agree through step t but
+whose targets differ at t. A reservoir starts every sequence from the same
+zero state and is deterministic, so their feature rows at t are equal; the
+readout maps equal rows to equal predictions, and one of the two is wrong
+whatever the rule, mappings or (I,R). The skipped layer's verdict is False,
+as a full run would find.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .memory_task import (
     all_patterns,
     evaluate,
 )
-from .readout import binarize_array, fit, predict, working_bytes
+from .readout import MAX_FIT_ROWS, binarize_array, fit, predict, working_bytes
 from .reservoir import ReservoirParams, run_sequences
 
 # Fixed offset of ``build_config``'s layer-2 mapping seed from its layer-1
@@ -53,8 +54,10 @@ LAYER2_SEED_OFFSET = 1_000_003
 class RunConfig:
     """One run: its reservoir layers in run order, and the distractor period T_d.
 
-    Each layer after the first reads the previous layer's binarized 3-bit
-    predictions. Run i of a batch adds i to every layer's own seed.
+    Layer 1 reads the 4 task input bits, and each later layer the previous
+    layer's binarized 3-bit predictions. Run i of a batch adds i to every
+    layer's own seed. A config that a run would reject, a T_d too long for
+    the readout included, is a ValueError here.
     """
 
     layers: tuple[ReservoirParams, ...]
@@ -65,11 +68,21 @@ class RunConfig:
             raise ValueError("a run needs at least one layer")
         if self.distractor < 1:
             raise ValueError("distractor period must be >= 1")
-        if any(params.input_width != OUTPUT_WIDTH for params in self.layers[1:]):
-            raise ValueError(
-                f"layer-2 input width must be {OUTPUT_WIDTH} "
-                "(the binarized layer-1 outputs)"
-            )
+        if self.n_rows >= MAX_FIT_ROWS:
+            longest = (MAX_FIT_ROWS - 1) // N_PATTERNS - 2 * MESSAGE_LEN
+            raise ValueError(f"distractor period must be <= {longest} (the readout fits fewer "
+                             f"than {MAX_FIT_ROWS} rows), got {self.distractor}")
+        if self.layers[0].input_width != INPUT_WIDTH:
+            raise ValueError(f"layer-1 input width must be {INPUT_WIDTH} (the task inputs)")
+        for k, params in enumerate(self.layers[1:], start=2):
+            if params.input_width != OUTPUT_WIDTH:
+                raise ValueError(f"layer-{k} input width must be {OUTPUT_WIDTH} "
+                                 f"(the binarized layer-{k - 1} outputs)")
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of every layer's readout design: 32 sequences of T_d + 10 steps."""
+        return N_PATTERNS * (self.distractor + 2 * MESSAGE_LEN)
 
     @property
     def layer1(self) -> ReservoirParams:
@@ -147,10 +160,9 @@ def run_bytes(config: RunConfig) -> int:
     Its largest layer's uint8 features (32 * T * I * R * L_d bytes) plus
     what that layer's readout holds beside them.
     """
-    n_rows = N_PATTERNS * (config.distractor + 2 * MESSAGE_LEN)
     return max(
-        n_rows * params.feature_length
-        + working_bytes(n_rows, params.feature_length, OUTPUT_WIDTH)
+        config.n_rows * params.feature_length
+        + working_bytes(config.n_rows, params.feature_length, OUTPUT_WIDTH)
         for params in config.layers
     )
 
@@ -219,22 +231,14 @@ def prefix_conflict(inputs: np.ndarray, targets: np.ndarray) -> int | None:
     return int(conflicts.min()) if conflicts.size else None
 
 
-def _layer_predictions(config: RunConfig, inputs: np.ndarray, targets: np.ndarray):
-    """Each layer's binarized predictions, in run order.
-
-    Each layer eats the previous layer's predictions. A layer runs only when
-    it is pulled, so a caller that stops pulling skips the layers after it.
-    """
-    for params in config.layers:
-        inputs = _run_layer(inputs, targets, params)
-        yield inputs
-
-
 def run_once(config: RunConfig) -> RunResult:
     """One full train-and-test run, every layer of it, scored layer by layer."""
     tasks, inputs, targets = _task_arrays(config)
-    layers = _layer_predictions(config, inputs, targets)
-    return RunResult(tuple(evaluate(preds, tasks) for preds in layers))
+    evals = []
+    for params in config.layers:
+        inputs = _run_layer(inputs, targets, params)
+        evals.append(evaluate(inputs, tasks))
+    return RunResult(tuple(evals))
 
 
 def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
@@ -244,16 +248,12 @@ def _batch_worker(args: tuple[RunConfig, int]) -> tuple[bool, ...]:
     not run when ``prefix_conflict`` proves it fails.
     """
     config, i = args
-    config = replace(config, layers=tuple(replace(params, seed=params.seed + i)
-                                          for params in config.layers))
     tasks, inputs, targets = _task_arrays(config)
-    layers = _layer_predictions(config, inputs, targets)
-    final = len(config.layers) - 1
     verdicts = []
-    for k in range(final + 1):
-        if k == final and prefix_conflict(inputs, targets) is not None:
+    for k, params in enumerate(config.layers, start=1):
+        if k == len(config.layers) and prefix_conflict(inputs, targets) is not None:
             return (*verdicts, False)
-        inputs = next(layers)
+        inputs = _run_layer(inputs, targets, replace(params, seed=params.seed + i))
         verdicts.append(evaluate(inputs, tasks).success)
     return tuple(verdicts)
 

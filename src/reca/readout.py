@@ -294,11 +294,9 @@ def _row_groups(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
     out 1/16 of them breaks even.
     """
     n = x.shape[0]
-    # Identical rows share both ends: distinct ends bound the rows that can go.
-    last = _packed(x[:, -END_FEATURES:], np.zeros((n, 8), np.uint8)).view(np.uint64)[:, 0]
-    if n - 1 - np.count_nonzero(np.diff(np.sort(last))) < n // SKIP_FRACTION:
-        return None
+    # Identical rows share both ends: distinct pairs of ends bound the rows that can go.
     first = _packed(x[:, :END_FEATURES], np.zeros((n, 8), np.uint8)).view(np.uint64)[:, 0]
+    last = _packed(x[:, -END_FEATURES:], np.zeros((n, 8), np.uint8)).view(np.uint64)[:, 0]
     # One 64-bit mix a pair: a collision only merges pairs, so the count of
     # rows that can go stays an upper bound. Sorting it took 0.3 ms at
     # 32,320 rows, against 6.3 ms for a lexsort of the pairs.

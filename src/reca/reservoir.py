@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ca import evolve, make_rule
-from .encoding import MappingSet
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,18 @@ class ReservoirParams:
 
 
 def run_sequences(
-    inputs: np.ndarray, params: ReservoirParams, mappings: MappingSet
+    inputs: np.ndarray, params: ReservoirParams, maps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a batch of independent sequences through one reservoir.
 
     Args:
         inputs: (n_sequences, T, L_in) array of 0s and 1s; any other value
             is a ValueError.
-        params: reservoir parameters; ``mappings`` must match them.
-        mappings: the fixed random mappings, ``generate_mappings(params)``.
+        params: the layer's one description.
+        maps: the layer's (R, L_in) draw, ``generate_mappings(params)``:
+            ``maps[r, j]`` is the cell of segment r that receives input bit
+            j. Another shape, a value outside [0, L_d), a value repeated
+            within a row or a non-integer array is a ValueError.
 
     Returns:
         (features, finals): features has shape (n_sequences, T, I*R*L_d);
@@ -70,14 +72,19 @@ def run_sequences(
         raise ValueError(f"inputs must have shape (n, T, {params.input_width})")
     if x.shape[1] < 1:
         raise ValueError("inputs must hold at least one time step")
-    if (
-        mappings.input_width != params.input_width
-        or mappings.count != params.mapping_count
-        or mappings.diffuse_length != params.diffuse_length
-    ):
-        raise ValueError("mappings are inconsistent with reservoir params")
+    m = np.asarray(maps)
+    shape = (params.mapping_count, params.input_width)
+    if m.shape != shape:
+        raise ValueError(f"maps must have shape (R, L_in) = {shape}")
+    if m.dtype.kind not in "iu":
+        raise ValueError(f"maps must be integers, not {m.dtype}")
+    if m.min() < 0 or m.max() >= params.diffuse_length:
+        raise ValueError("map positions must lie in [0, diffuse_length)")
+    if (np.diff(np.sort(m, axis=1), axis=1) == 0).any():
+        raise ValueError("positions within one mapping must be distinct")
 
-    features = evolve(
-        x, mappings.positions, make_rule(params.rule), params.iterations, params.state_width
-    )
+    # the cell of the concatenated automaton that each (segment, bit) pair writes
+    offsets = params.diffuse_length * np.arange(params.mapping_count)[:, None]
+    positions = (m.astype(np.int64) + offsets).ravel()
+    features = evolve(x, positions, make_rule(params.rule), params.iterations, params.state_width)
     return features, features[:, -1, -params.state_width :].copy()

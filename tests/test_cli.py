@@ -311,8 +311,9 @@ def test_runs_that_do_not_fit_in_memory_are_usage_errors(
 ):
     monkeypatch.setattr(reca.cli, "_available_bytes", lambda: 50 * 10**6)
     monkeypatch.setattr(reca.cli, stub, refuse_to_run)
-    argv = [*command, "--rule", "90", "--iterations", "8", "--mappings", "8",
-            "--out", str(tmp_path / "out")]
+    argv = [*command, "--rule", "90", "--iterations", "8", "--mappings", "8"]
+    if command != ["run"]:  # run writes no file
+        argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "not enough memory" in err
@@ -328,6 +329,7 @@ def test_runs_that_do_not_fit_in_memory_are_usage_errors(
         ({"rule": 90, "layer2": {"rule": -1}}, "rule must be in [0, 255], got -1"),
         ({"rule": 90, "seed": -2}, "seed must be >= 0, got -2"),
         ({"rule": 90, "distractor": 0}, "distractor period must be >= 1"),
+        ({"rule": 90, "distractor": 524_278}, "distractor period must be <= 524277"),
     ],
 )
 def test_bad_rule_or_seed_is_a_usage_error_before_any_run(
@@ -340,6 +342,19 @@ def test_bad_rule_or_seed_is_a_usage_error_before_any_run(
     err = capsys.readouterr().err
     assert message in err
     assert "sweep:" not in err
+
+
+def test_run_has_no_out_option(tmp_path, monkeypatch, capsys):
+    # run writes nothing, so --out is a usage error, not a silently ignored flag.
+    for name in ("run_once", "_check_memory"):
+        monkeypatch.setattr(reca.cli, name, refuse_to_run)
+    out = tmp_path / "result.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--rule", "90", "--iterations", "2", "--mappings", "2",
+              "--distractor", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_rule_or_seed_flags_run_nothing(tmp_path, monkeypatch, capsys):

@@ -328,9 +328,23 @@ def test_layer2_config_rejects_wrong_input_width():
     with pytest.raises(ValueError, match="layer-2 input width must be 3"):
         RunConfig((layer1, bad_layer2), distractor=20)
     good_layer2 = replace(bad_layer2, input_width=3)
-    with pytest.raises(ValueError, match="layer-2 input width must be 3"):
+    with pytest.raises(ValueError, match="layer-3 input width must be 3 .*layer-2 outputs"):
         RunConfig((layer1, good_layer2, bad_layer2), distractor=20)
     assert RunConfig((layer1, good_layer2), distractor=20).layer2 == good_layer2
+
+
+def test_layer1_config_rejects_other_than_the_task_inputs():
+    # A run would fail only inside run_sequences, a batch after starting its pool.
+    with pytest.raises(ValueError, match="layer-1 input width must be 4"):
+        RunConfig((ReservoirParams(90, 2, 2, 10, 3, 0),), distractor=5)
+
+
+def test_config_rejects_a_distractor_the_readout_cannot_fit():
+    # 32 (T_d + 10) rows must stay below readout.MAX_FIT_ROWS; built, never run.
+    layer1 = ReservoirParams(90, 1, 1, 4, 4, 0)
+    assert RunConfig((layer1,), distractor=524_277).n_rows == reca.readout.MAX_FIT_ROWS - 32
+    with pytest.raises(ValueError, match="distractor period must be <= 524277"):
+        RunConfig((layer1,), distractor=524_278)
 
 
 def test_run_config_needs_a_layer():

@@ -26,19 +26,24 @@ def naive_evolve(state, rule, iterations):
     return np.stack(rows)
 
 
-def encoded(bits, p, ms):
+def positions(p, maps):
+    """The automaton cell each (segment, input bit) pair of ``maps`` writes, in order."""
+    return (maps + p.diffuse_length * np.arange(p.mapping_count)[:, None]).ravel()
+
+
+def encoded(bits, p, maps):
     """The input written onto a blank automaton."""
     state = np.zeros(p.state_width, dtype=np.uint8)
-    state[ms.positions] = np.tile(bits, ms.count)
+    state[positions(p, maps)] = np.tile(bits, p.mapping_count)
     return state
 
 
 def test_single_step_matches_evolve_of_initial_encoding():
     p = params(rule=110, iterations=3)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     x = np.array([[[1, 0, 0, 1]]], dtype=np.uint8)
-    features, finals = run_sequences(x, p, ms)
-    expected = naive_evolve(encoded(x[0, 0], p, ms), 110, 3)
+    features, finals = run_sequences(x, p, maps)
+    expected = naive_evolve(encoded(x[0, 0], p, maps), 110, 3)
     assert features.shape == (1, 1, p.feature_length)
     assert np.array_equal(features[0, 0], expected.ravel())
     assert np.array_equal(finals[0], expected[-1])
@@ -46,9 +51,9 @@ def test_single_step_matches_evolve_of_initial_encoding():
 
 def test_rule_0_gives_all_zero_features():
     p = params(rule=0, iterations=4)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(1)
-    features, finals = run_sequences(random_inputs(rng, 6), p, ms)
+    features, finals = run_sequences(random_inputs(rng, 6), p, maps)
     assert not features.any()
     assert not finals.any()
 
@@ -56,23 +61,23 @@ def test_rule_0_gives_all_zero_features():
 def test_feature_length_matches_paper_example():
     p = params(rule=90, iterations=8, mappings=8, diffuse=40)
     assert p.feature_length == 2560
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(2)
-    features, _ = run_sequences(random_inputs(rng, 3), p, ms)
+    features, _ = run_sequences(random_inputs(rng, 3), p, maps)
     assert features.shape == (1, 3, 2560)
 
 
 def test_recurrence_seeds_from_previous_final_state():
     p = params(rule=110, iterations=2)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(3)
     x = random_inputs(rng, 4)
-    features, _ = run_sequences(x, p, ms)
+    features, _ = run_sequences(x, p, maps)
 
     state = np.zeros(p.state_width, dtype=np.uint8)
     expected = []
     for t in range(4):
-        state[ms.positions] = np.tile(x[0, t], ms.count)
+        state[positions(p, maps)] = np.tile(x[0, t], p.mapping_count)
         rows = naive_evolve(state, 110, p.iterations)
         expected.append(rows.ravel())
         state = rows[-1].copy()
@@ -81,22 +86,22 @@ def test_recurrence_seeds_from_previous_final_state():
 
 def test_determinism():
     p = params(rule=150, iterations=3, mappings=3, seed=9)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(4)
     x = random_inputs(rng, 5)
-    f1, s1 = run_sequences(x, p, ms)
-    f2, s2 = run_sequences(x, p, ms)
+    f1, s1 = run_sequences(x, p, maps)
+    f2, s2 = run_sequences(x, p, maps)
     assert np.array_equal(f1, f2) and np.array_equal(s1, s2)
 
 
 def test_batched_sequences_match_individual_runs():
     p = params(rule=110, iterations=2, mappings=2)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(5)
     batch = rng.integers(0, 2, size=(5, 7, 4), dtype=np.uint8)
-    features, finals = run_sequences(batch, p, ms)
+    features, finals = run_sequences(batch, p, maps)
     for i in range(5):
-        f, s = run_sequences(batch[i : i + 1], p, ms)
+        f, s = run_sequences(batch[i : i + 1], p, maps)
         assert np.array_equal(features[i], f[0])
         assert np.array_equal(finals[i], s[0])
 
@@ -104,28 +109,28 @@ def test_batched_sequences_match_individual_runs():
 def test_record_space_time_single_step_equals_evolve():
     # A sequence's space-time grid is its features as (T*I, R*L_d) rows.
     p = params(rule=30, iterations=3)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     x = np.array([[[0, 1, 1, 0]]], dtype=np.uint8)
-    features, _ = run_sequences(x, p, ms)
+    features, _ = run_sequences(x, p, maps)
     grid = features[0].reshape(-1, p.state_width)
-    assert np.array_equal(grid, naive_evolve(encoded(x[0, 0], p, ms), 30, 3))
+    assert np.array_equal(grid, naive_evolve(encoded(x[0, 0], p, maps), 30, 3))
 
 
 def test_figure_scale_grid_dimensions():
     p = params(rule=90, iterations=8, mappings=8, diffuse=40)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(7)
-    features, _ = run_sequences(random_inputs(rng, 30), p, ms)
+    features, _ = run_sequences(random_inputs(rng, 30), p, maps)
     assert features[0].reshape(-1, p.state_width).shape == (240, 320)
 
 
 def test_dimension_mismatches_rejected():
     p = params()
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     with pytest.raises(ValueError):
-        run_sequences(np.zeros((1, 3, 5), dtype=np.uint8), p, ms)
+        run_sequences(np.zeros((1, 3, 5), dtype=np.uint8), p, maps)
     with pytest.raises(ValueError):
-        run_sequences(np.zeros((3, 4), dtype=np.uint8), p, ms)
+        run_sequences(np.zeros((3, 4), dtype=np.uint8), p, maps)
     wrong = generate_mappings(params(mappings=3))
     with pytest.raises(ValueError):
         run_sequences(np.zeros((1, 3, 4), dtype=np.uint8), p, wrong)
@@ -139,11 +144,11 @@ def test_params_validation():
 
 def test_non_binary_or_empty_inputs_rejected():
     p = params()
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     with pytest.raises(ValueError):
-        run_sequences(np.full((1, 3, 4), 2, dtype=np.uint8), p, ms)
+        run_sequences(np.full((1, 3, 4), 2, dtype=np.uint8), p, maps)
     with pytest.raises(ValueError):
-        run_sequences(np.zeros((1, 0, 4), dtype=np.uint8), p, ms)
+        run_sequences(np.zeros((1, 0, 4), dtype=np.uint8), p, maps)
 
 
 @pytest.mark.parametrize(
@@ -158,14 +163,14 @@ def test_inputs_other_than_0_or_1_are_rejected_before_any_cast(value, dtype):
         run_sequences(x, p, generate_mappings(p))
 
 
-def naive_run(x, p, ms):
+def naive_run(x, p, maps):
     """Step-by-step reservoir over reference.naive_step, one sequence at a time."""
     features = np.empty((x.shape[0], x.shape[1], p.feature_length), dtype=np.uint8)
     finals = np.empty((x.shape[0], p.state_width), dtype=np.uint8)
     for s in range(x.shape[0]):
         state = np.zeros(p.state_width, dtype=np.uint8)
         for t in range(x.shape[1]):
-            state[ms.positions] = np.tile(x[s, t], ms.count)
+            state[positions(p, maps)] = np.tile(x[s, t], p.mapping_count)
             for k in range(p.iterations):
                 state = naive_step(state, p.rule)
                 features[s, t, k * p.state_width : (k + 1) * p.state_width] = state
@@ -189,11 +194,11 @@ def test_packed_lanes_match_naive_stepper(
 ):
     diffuse = max(input_width + extra_diffuse, 3)
     p = ReservoirParams(rule, iterations, mappings, diffuse, input_width, seed)
-    ms = generate_mappings(p)
+    maps = generate_mappings(p)
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, size=(n_seq, seq_len, input_width), dtype=np.uint8)
-    features, finals = run_sequences(x, p, ms)
-    expected_features, expected_finals = naive_run(x, p, ms)
+    features, finals = run_sequences(x, p, maps)
+    expected_features, expected_finals = naive_run(x, p, maps)
     assert features.dtype == np.uint8 and finals.dtype == np.uint8
     assert np.array_equal(features, expected_features)
     assert np.array_equal(finals, expected_finals)
